@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use ftclos_routing::YuanDeterministic;
-use ftclos_sim::{Policy, SimConfig, Simulator, Workload};
+use ftclos_sim::{EventSimulator, Policy, SimConfig, Workload};
 use ftclos_topo::Ftree;
 use ftclos_traffic::patterns;
 use rand::SeedableRng;
@@ -25,7 +25,8 @@ fn bench_sim(c: &mut Criterion) {
         group.throughput(Throughput::Elements(cfg.total_cycles()));
         group.bench_with_input(BenchmarkId::new("ftree_full_load", ports), &perm, |b, p| {
             b.iter(|| {
-                let mut sim = Simulator::new(ft.topology(), cfg, Policy::from_single_path(&router));
+                let mut sim =
+                    EventSimulator::new(ft.topology(), cfg, Policy::from_single_path(&router));
                 black_box(sim.run(&Workload::permutation(p, 1.0), 7))
             })
         });

@@ -12,7 +12,7 @@
 use ftclos_analysis::TextTable;
 use ftclos_bench::{banner, result_line, verdict, SEED};
 use ftclos_routing::{NonblockingAdaptive, ObliviousMultipath, PlanStrategy, SpreadPolicy};
-use ftclos_sim::{Policy, SimConfig, Simulator, Workload};
+use ftclos_sim::{EventSimulator, Policy, SimConfig, Workload};
 use ftclos_topo::Ftree;
 use ftclos_traffic::patterns;
 use rand::SeedableRng;
@@ -81,10 +81,10 @@ fn main() {
     let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(SEED + 2);
     let perm = patterns::random_derangement(72, &mut rng);
     let w = Workload::permutation(&perm, 1.0);
-    let thr_random = Simulator::new(ft.topology(), cfg, Policy::queue_adaptive(&mp))
+    let thr_random = EventSimulator::new(ft.topology(), cfg, Policy::queue_adaptive(&mp))
         .run(&w, SEED)
         .accepted_throughput();
-    let thr_first = Simulator::new(
+    let thr_first = EventSimulator::new(
         ft.topology(),
         cfg,
         Policy::queue_adaptive_deterministic_ties(&mp),
@@ -105,10 +105,11 @@ fn main() {
         "A3",
         "oblivious spreading: per-packet random vs round-robin",
     );
-    let thr_rand_spread = Simulator::new(ft.topology(), cfg, Policy::from_multipath(&mp, true))
-        .run(&w, SEED)
-        .accepted_throughput();
-    let thr_rr_spread = Simulator::new(ft.topology(), cfg, Policy::from_multipath(&mp, false))
+    let thr_rand_spread =
+        EventSimulator::new(ft.topology(), cfg, Policy::from_multipath(&mp, true))
+            .run(&w, SEED)
+            .accepted_throughput();
+    let thr_rr_spread = EventSimulator::new(ft.topology(), cfg, Policy::from_multipath(&mp, false))
         .run(&w, SEED)
         .accepted_throughput();
     result_line(

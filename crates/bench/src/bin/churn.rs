@@ -24,10 +24,11 @@
 
 use ftclos_bench::{banner, result_line, verdict, SEED};
 use ftclos_core::churn::{availability, min_m_for_availability, ChurnEvent};
+use ftclos_obs::Noop;
 use ftclos_routing::{ObliviousMultipath, SpreadPolicy};
 use ftclos_sim::{
-    Arbiter, ChurnConfig, ChurnReport, ChurnSchedule, Policy, ReplanMode, SimConfig, SimStats,
-    Simulator, Workload,
+    Arbiter, ChurnConfig, ChurnReport, ChurnSchedule, EventSimulator, Policy, ReplanMode, RunSpec,
+    SimConfig, SimStats, Workload,
 };
 use ftclos_topo::{Ftree, Transition};
 use ftclos_traffic::patterns;
@@ -201,7 +202,16 @@ fn run_mode(ft: &Ftree, schedule: &ChurnSchedule, mode: ReplanMode) -> (SimStats
         epsilon: 0.1,
         recovery_window: 50,
     };
-    Simulator::new(ft.topology(), cfg, Policy::from_multipath(&mp, true))
-        .try_run_churn(&Workload::permutation(&perm, 0.7), SEED, schedule, &churn)
+    EventSimulator::new(ft.topology(), cfg, Policy::from_multipath(&mp, true))
+        .try_run_with(
+            &Workload::permutation(&perm, 0.7),
+            SEED,
+            &RunSpec {
+                faults: Some(schedule),
+                churn: Some(&churn),
+            },
+            &Noop,
+        )
+        .map(|(stats, report)| (stats, report.unwrap_or_default()))
         .unwrap()
 }

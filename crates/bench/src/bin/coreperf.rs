@@ -68,7 +68,6 @@ use ftclos_core::{
     AdaptiveRoutability, CampaignConfig, CampaignError, CampaignProperty, ContentionEngine,
     ContentionScratch, FaultElement, ValleyRouter,
 };
-use ftclos_evsim::EventSimulator;
 use ftclos_flowsim::standard_suite;
 use ftclos_obs::Registry;
 use ftclos_routing::{
@@ -76,7 +75,7 @@ use ftclos_routing::{
     NonblockingAdaptive, PathArena, PatternRouter, RouteAssignment, RoutingError, SModK,
     YuanDeterministic, YuanRecursive,
 };
-use ftclos_sim::{Policy, SimConfig, SimError, Simulator, Workload};
+use ftclos_sim::{EventSimulator, Policy, SimConfig, SimError, Simulator, Workload};
 use ftclos_topo::{FaultSet, FaultyView, Ftree, RecursiveNonblocking, TopoError};
 use ftclos_traffic::patterns;
 use rand::SeedableRng;

@@ -23,8 +23,9 @@ use ftclos_core::{
     adaptive_degraded_verdict, deterministic_degradation, max_survivable_top_failures,
     DegradedVerdict,
 };
+use ftclos_obs::Noop;
 use ftclos_routing::{ObliviousMultipath, SpreadPolicy, YuanDeterministic};
-use ftclos_sim::{Arbiter, FaultSchedule, Policy, SimConfig, Simulator, Workload};
+use ftclos_sim::{Arbiter, EventSimulator, FaultSchedule, Policy, RunSpec, SimConfig, Workload};
 use ftclos_topo::{FaultSet, FaultyView, Ftree};
 use ftclos_traffic::patterns;
 
@@ -126,11 +127,16 @@ fn main() {
     // (leaf offsets (0,0) map to top i*n+j = 0).
     let mut faults = FaultSchedule::new();
     faults.kill_channel(400, ft2.up_channel(0, 0));
+    let spec = RunSpec {
+        faults: Some(&faults),
+        churn: None,
+    };
 
     let mp = ObliviousMultipath::new(&ft2, SpreadPolicy::Random);
-    let s_mp = Simulator::new(ft2.topology(), cfg, Policy::from_multipath(&mp, true))
-        .try_run_with_faults(&Workload::permutation(&perm, 0.6), SEED, &faults)
-        .unwrap();
+    let s_mp = EventSimulator::new(ft2.topology(), cfg, Policy::from_multipath(&mp, true))
+        .try_run_with(&Workload::permutation(&perm, 0.6), SEED, &spec, &Noop)
+        .unwrap()
+        .0;
     result_line(
         "multipath (re-picks)",
         format!(
@@ -156,9 +162,10 @@ fn main() {
     );
 
     let yuan2 = YuanDeterministic::new(&ft2).unwrap();
-    let s_fix = Simulator::new(ft2.topology(), cfg, Policy::from_single_path(&yuan2))
-        .try_run_with_faults(&Workload::permutation(&perm, 0.6), SEED, &faults)
-        .unwrap();
+    let s_fix = EventSimulator::new(ft2.topology(), cfg, Policy::from_single_path(&yuan2))
+        .try_run_with(&Workload::permutation(&perm, 0.6), SEED, &spec, &Noop)
+        .unwrap()
+        .0;
     result_line(
         "pinned single-path",
         format!(

@@ -13,7 +13,7 @@ use ftclos_analysis::TextTable;
 use ftclos_bench::{banner, result_line, verdict, SEED};
 use ftclos_core::search::find_blocking_two_pair;
 use ftclos_routing::{SinglePathRouter, XgftRouter};
-use ftclos_sim::{Policy, SimConfig, Simulator, Workload};
+use ftclos_sim::{EventSimulator, Policy, SimConfig, Workload};
 use ftclos_topo::{kary_ntree, mport_ntree};
 use ftclos_traffic::{patterns, SdPair};
 use rand::SeedableRng;
@@ -81,7 +81,7 @@ fn main() {
     let mut sum = 0.0;
     for i in 0..5u64 {
         let perm = patterns::random_derangement(64, &mut rng);
-        sum += Simulator::new(t.topology(), cfg, Policy::from_single_path(&router))
+        sum += EventSimulator::new(t.topology(), cfg, Policy::from_single_path(&router))
             .run(&Workload::permutation(&perm, 1.0), SEED + i)
             .accepted_throughput();
     }

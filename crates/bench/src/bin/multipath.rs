@@ -10,7 +10,7 @@
 
 use ftclos_bench::{banner, result_line, verdict, SEED};
 use ftclos_routing::{ObliviousMultipath, SpreadPolicy, YuanDeterministic};
-use ftclos_sim::{Policy, SimConfig, Simulator, Workload};
+use ftclos_sim::{EventSimulator, Policy, SimConfig, Workload};
 use ftclos_topo::Ftree;
 use ftclos_traffic::{patterns, Permutation, SdPair};
 use rand::SeedableRng;
@@ -73,9 +73,9 @@ fn main() {
     let perm = Permutation::from_pairs(36, (0..4).map(|k| SdPair::new(k, (k + 1) * 4))).unwrap();
     let single = ftclos_routing::DModK::new(&ft4);
     let spread = ObliviousMultipath::new(&ft4, SpreadPolicy::Random);
-    let s_single = Simulator::new(ft4.topology(), cfg, Policy::from_single_path(&single))
+    let s_single = EventSimulator::new(ft4.topology(), cfg, Policy::from_single_path(&single))
         .run(&Workload::permutation(&perm, 1.0), SEED);
-    let s_spread = Simulator::new(ft4.topology(), cfg, Policy::from_multipath(&spread, true))
+    let s_spread = EventSimulator::new(ft4.topology(), cfg, Policy::from_multipath(&spread, true))
         .run(&Workload::permutation(&perm, 1.0), SEED);
     result_line(
         "d-mod-k throughput",
@@ -97,9 +97,9 @@ fn main() {
     let spread_nb = ObliviousMultipath::new(&ftnb, SpreadPolicy::Random);
     let mut rng2 = rand_chacha::ChaCha8Rng::seed_from_u64(SEED + 1);
     let full = patterns::random_full(21, &mut rng2);
-    let s_yuan = Simulator::new(ftnb.topology(), cfg, Policy::from_single_path(&yuan))
+    let s_yuan = EventSimulator::new(ftnb.topology(), cfg, Policy::from_single_path(&yuan))
         .run(&Workload::permutation(&full, 1.0), SEED);
-    let s_rand = Simulator::new(
+    let s_rand = EventSimulator::new(
         ftnb.topology(),
         cfg,
         Policy::from_multipath(&spread_nb, true),

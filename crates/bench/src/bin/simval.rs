@@ -12,7 +12,7 @@
 use ftclos_analysis::TextTable;
 use ftclos_bench::{banner, result_line, verdict, SEED};
 use ftclos_routing::{Path, SinglePathRouter};
-use ftclos_sim::{Arbiter, Policy, SimConfig, Simulator, Workload};
+use ftclos_sim::{Arbiter, EventSimulator, Policy, SimConfig, Workload};
 use ftclos_topo::{crossbar, Crossbar};
 use ftclos_traffic::{patterns, SdPair};
 
@@ -61,7 +61,7 @@ fn main() {
                 arbiter,
                 ..SimConfig::default()
             };
-            let thr = Simulator::new(xb.topology(), cfg, Policy::from_single_path(&router))
+            let thr = EventSimulator::new(xb.topology(), cfg, Policy::from_single_path(&router))
                 .run(&uni, SEED)
                 .accepted_throughput();
             table.row([label.to_string(), cap.to_string(), format!("{thr:.3}")]);
@@ -101,7 +101,7 @@ fn main() {
             arbiter,
             ..SimConfig::default()
         };
-        let thr = Simulator::new(xb.topology(), cfg, Policy::from_single_path(&router))
+        let thr = EventSimulator::new(xb.topology(), cfg, Policy::from_single_path(&router))
             .run(&w, SEED)
             .accepted_throughput();
         result_line(label, format!("{thr:.3}"));

@@ -7,7 +7,7 @@
 use ftclos_analysis::TextTable;
 use ftclos_bench::{banner, result_line, verdict, SEED};
 use ftclos_routing::{DModK, ObliviousMultipath, SpreadPolicy, YuanDeterministic};
-use ftclos_sim::{Policy, SimConfig, Simulator, Workload};
+use ftclos_sim::{EventSimulator, Policy, SimConfig, Workload};
 use ftclos_topo::{crossbar, Crossbar, Ftree};
 use ftclos_traffic::patterns;
 use rand::SeedableRng;
@@ -65,7 +65,7 @@ fn main() {
         let trials = 10;
         for t in 0..trials {
             let perm = patterns::random_derangement(ports, rng);
-            let mut sim = Simulator::new(topo, cfg, make_policy());
+            let mut sim = EventSimulator::new(topo, cfg, make_policy());
             sum += sim
                 .run(&Workload::permutation(&perm, 1.0), SEED + t)
                 .accepted_throughput();

@@ -40,7 +40,7 @@ use ftclos_core::campaign::{
 use ftclos_core::cdg::{cdg_of_masked_router_with, ValleyRouter};
 use ftclos_obs::{Recorder as _, Registry};
 use ftclos_routing::{DModK, SModK, SinglePathRouter, YuanDeterministic};
-use ftclos_sim::{run_pinned_injection_watchdog_recorded, SimError, StallReport};
+use ftclos_sim::{run_pinned_injection, SimError, StallReport};
 use ftclos_topo::{FaultyView, Ftree};
 use std::fmt::Write as _;
 
@@ -305,22 +305,15 @@ fn run_confirm(
             "witness attribution found no realizing routes".to_string(),
         ));
     }
-    let outcome = match run_pinned_injection_watchdog_recorded(
-        topo,
-        &routes,
-        cycles,
-        queue_capacity,
-        watchdog,
-        seed,
-        rec,
-    ) {
-        Err(SimError::Stalled(stall)) => Ok(stall),
-        Err(e) => Err(format!("simulation failed: {e}")),
-        Ok(run) => Err(format!(
-            "no stall within {cycles} cycles ({} delivered of {})",
-            run.stats.delivered_total, run.stats.injected_total
-        )),
-    };
+    let outcome =
+        match run_pinned_injection(topo, &routes, cycles, queue_capacity, watchdog, seed, rec) {
+            Err(SimError::Stalled(stall)) => Ok(stall),
+            Err(e) => Err(format!("simulation failed: {e}")),
+            Ok(run) => Err(format!(
+                "no stall within {cycles} cycles ({} delivered of {})",
+                run.stats.delivered_total, run.stats.injected_total
+            )),
+        };
     Ok(Confirmation {
         target,
         witness_len: witness.len(),

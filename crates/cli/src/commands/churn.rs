@@ -4,13 +4,14 @@
 //! exponential MTBF/MTTR, replay the trace through the exact availability
 //! checker, and simulate packet flow under the chosen re-planning mode.
 
-use super::common::build_ftree;
+use super::common::{build_ftree, parse_rate};
 use crate::opts::{CliError, Opts};
 use ftclos_core::churn::{availability, min_m_for_availability, ChurnEvent};
 use ftclos_obs::{Recorder as _, Registry};
 use ftclos_routing::{ObliviousMultipath, SpreadPolicy};
 use ftclos_sim::{
-    Arbiter, ChurnConfig, ChurnSchedule, Policy, ReplanMode, SimConfig, Simulator, Workload,
+    Arbiter, ChurnConfig, ChurnSchedule, EventSimulator, Policy, ReplanMode, RunSpec, SimConfig,
+    Workload,
 };
 use ftclos_topo::Ftree;
 use ftclos_traffic::patterns;
@@ -50,15 +51,10 @@ pub fn run(opts: &Opts, rec: &Registry) -> Result<String, CliError> {
     let mtbf: u64 = opts.flag_or("mtbf", 400)?;
     let mttr: u64 = opts.flag_or("mttr", 100)?;
     let cycles: u64 = opts.flag_or("cycles", 2_000)?;
-    let rate: f64 = opts.flag_or("rate", 0.6)?;
+    let rate = parse_rate(opts, 0.6)?;
     let samples: usize = opts.flag_or("samples", 25)?;
     let seed: u64 = opts.flag_or("seed", 0)?;
     let mode = parse_mode(opts.flag("mode").unwrap_or("hysteresis:50"))?;
-    if !(0.0..=1.0).contains(&rate) {
-        return Err(CliError::Usage(format!(
-            "--rate {rate} must be within [0, 1]"
-        )));
-    }
 
     let schedule = ChurnSchedule::flapping_links(ft.topology(), links, mtbf, mttr, cycles, seed);
     let mut out = String::new();
@@ -112,16 +108,20 @@ pub fn run(opts: &Opts, rec: &Registry) -> Result<String, CliError> {
         epsilon: 0.1,
         recovery_window: 50,
     };
+    let spec = RunSpec {
+        faults: Some(&schedule),
+        churn: Some(&churn_cfg),
+    };
     let (stats, churn_report) =
-        Simulator::new(ft.topology(), cfg, Policy::from_multipath(&mp, true))
-            .try_run_churn_recorded(
+        EventSimulator::new(ft.topology(), cfg, Policy::from_multipath(&mp, true))
+            .try_run_with(
                 &Workload::permutation(&perm, rate),
                 seed ^ 0xC0FFEE,
-                &schedule,
-                &churn_cfg,
+                &spec,
                 rec,
             )
             .map_err(|e| CliError::Failed(e.to_string()))?;
+    let churn_report = churn_report.unwrap_or_default();
     let _ = writeln!(
         out,
         "simulation ({mode:?}): steady {:.3} pkt/cycle, delivered {} / injected {}, \
@@ -216,7 +216,8 @@ mod tests {
         assert!(out.contains("simulation"), "{out}");
         let snap = reg.snapshot();
         assert!(snap.spans.iter().any(|s| s.path == "churn.availability"));
-        assert!(snap.counter("sim.injected").unwrap_or(0) > 0);
+        assert!(snap.counter("evsim.injected").unwrap_or(0) > 0);
+        assert!(snap.counter("evsim.executed_cycles").unwrap_or(0) > 0);
     }
 
     #[test]
@@ -234,10 +235,12 @@ mod tests {
 
     #[test]
     fn bad_arguments_are_usage_errors() {
-        assert!(matches!(
-            run(&argv("2 4 3 --rate 1.5"), &Registry::new()),
-            Err(CliError::Usage(_))
-        ));
+        for rate in ["1.5", "-0.1", "NaN"] {
+            assert!(matches!(
+                run(&argv(&format!("2 4 3 --rate {rate}")), &Registry::new()),
+                Err(CliError::Usage(_))
+            ));
+        }
         assert!(matches!(
             run(&argv("2 4 3 --mode wild"), &Registry::new()),
             Err(CliError::Usage(_))

@@ -15,6 +15,18 @@ pub fn build_ftree(opts: &Opts) -> Result<Ftree, CliError> {
     Ftree::new(n, m, r).map_err(|e| CliError::Failed(format!("cannot build ftree: {e}")))
 }
 
+/// Read `--rate`, an injection probability per source per cycle: values
+/// outside `[0, 1]`, NaN included, are usage errors.
+pub fn parse_rate(opts: &Opts, default: f64) -> Result<f64, CliError> {
+    let rate: f64 = opts.flag_or("rate", default)?;
+    if !(0.0..=1.0).contains(&rate) {
+        return Err(CliError::Usage(format!(
+            "--rate {rate} must be within [0, 1]"
+        )));
+    }
+    Ok(rate)
+}
+
 /// Parse a `--pattern` spec into a permutation over `ports` leaves.
 ///
 /// Specs: `shift:<k>`, `random`, `transpose`, `bitrev`, `neighbor`,
@@ -100,6 +112,20 @@ mod tests {
         assert!(make_pattern("bitrev", 6, 0).is_err());
         assert!(make_pattern("shift:x", 6, 0).is_err());
         assert!(make_pattern("nope", 6, 0).is_err());
+    }
+
+    #[test]
+    fn rate_must_be_a_probability() {
+        let opts = |s: &str| {
+            Opts::parse(&s.split_whitespace().map(String::from).collect::<Vec<_>>()).unwrap()
+        };
+        assert_eq!(parse_rate(&opts("1 2 3"), 0.6).unwrap(), 0.6);
+        assert_eq!(parse_rate(&opts("1 2 3 --rate 1"), 0.6).unwrap(), 1.0);
+        assert_eq!(parse_rate(&opts("1 2 3 --rate 0"), 0.6).unwrap(), 0.0);
+        for bad in ["1.5", "-0.1", "NaN", "inf"] {
+            let err = parse_rate(&opts(&format!("1 2 3 --rate {bad}")), 0.6).unwrap_err();
+            assert!(matches!(err, CliError::Usage(_)), "--rate {bad}: {err}");
+        }
     }
 
     #[test]

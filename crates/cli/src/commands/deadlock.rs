@@ -29,7 +29,7 @@ use ftclos_core::churn::ChurnEvent;
 use ftclos_core::{attribute_witness, CycleAnalysis, DeadlockVerdict, SweepEntry, ValleyRouter};
 use ftclos_obs::{Recorder as _, Registry};
 use ftclos_routing::{DModK, SModK, SinglePathRouter, YuanDeterministic};
-use ftclos_sim::{run_pinned_injection_recorded, PinnedRoute, WitnessRun};
+use ftclos_sim::{run_pinned_injection, PinnedRoute, WitnessRun};
 use ftclos_topo::{ChannelId, FaultSet, FaultyView, Ftree};
 use ftclos_traffic::SdPair;
 use std::fmt::Write as _;
@@ -138,11 +138,12 @@ pub fn run(opts: &Opts, rec: &Registry) -> Result<String, CliError> {
                 "witness attribution found no realizing routes".to_string(),
             ));
         }
-        let run = run_pinned_injection_recorded(
+        let run = run_pinned_injection(
             ft.topology(),
             &routes,
             inject_cycles,
             queue_capacity,
+            0,
             seed,
             rec,
         )
@@ -156,11 +157,12 @@ pub fn run(opts: &Opts, rec: &Registry) -> Result<String, CliError> {
                 PinnedRoute::new(r.src, r.dst, path.channels().to_vec())
             })
             .collect();
-        let control = run_pinned_injection_recorded(
+        let control = run_pinned_injection(
             ft.topology(),
             &control_routes,
             inject_cycles,
             queue_capacity,
+            0,
             seed,
             rec,
         )

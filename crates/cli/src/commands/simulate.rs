@@ -1,19 +1,18 @@
 //! `ftclos simulate <n> <m> <r> [--router R] [--pattern P] [--rate F]
-//! [--cycles N] [--arbiter hol|islip:K] [--engine cycle|event] [--seed S]
-//! [--fail-uplinks K] [--fail-at C] [--json]` — packet-level run.
+//! [--cycles N] [--arbiter hol|islip:K] [--seed S] [--fail-uplinks K]
+//! [--fail-at C] [--json]` — packet-level run on the event-driven schedule
+//! of the simulator kernel.
 //!
-//! `--engine event` runs the same workload on the event-driven core
-//! (`ftclos-evsim`) instead of the cycle-level sweep; the two engines are
-//! exact-replay equivalent, so the choice only affects speed at scale.
 //! `--fail-uplinks K` kills the links through the first `K` uplinks of
 //! edge switch 0 at cycle `--fail-at` (default: half the warmed-up run).
 
-use super::common::{build_ftree, make_pattern, route_named};
+use super::common::{build_ftree, make_pattern, parse_rate, route_named};
 use crate::opts::{CliError, Opts};
-use ftclos_evsim::EventSimulator;
 use ftclos_obs::Registry;
 use ftclos_routing::{DModK, SModK, YuanDeterministic};
-use ftclos_sim::{Arbiter, FaultSchedule, Policy, SimConfig, SimStats, Simulator, Workload};
+use ftclos_sim::{
+    Arbiter, EventSimulator, FaultSchedule, Policy, RunSpec, SimConfig, SimStats, Workload,
+};
 use ftclos_topo::Ftree;
 use std::fmt::Write as _;
 
@@ -35,34 +34,14 @@ fn parse_arbiter(spec: &str) -> Result<Arbiter, CliError> {
     )))
 }
 
-/// Which simulator core executes the run.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Engine {
-    /// Cycle-level sweep (`ftclos-sim`) — the oracle.
-    Cycle,
-    /// Event-driven active-set engine (`ftclos-evsim`).
-    Event,
-}
-
-fn parse_engine(spec: &str) -> Result<Engine, CliError> {
-    match spec {
-        "cycle" => Ok(Engine::Cycle),
-        "event" => Ok(Engine::Event),
-        other => Err(CliError::Usage(format!(
-            "unknown engine `{other}` (cycle | event)"
-        ))),
-    }
-}
-
 /// Run the command.
 pub fn run(opts: &Opts, rec: &Registry) -> Result<String, CliError> {
     let ft = build_ftree(opts)?;
     let router = opts.flag("router").unwrap_or("yuan");
     let seed: u64 = opts.flag_or("seed", 0)?;
-    let rate: f64 = opts.flag_or("rate", 1.0)?;
+    let rate = parse_rate(opts, 1.0)?;
     let cycles: u64 = opts.flag_or("cycles", 2_000)?;
     let arbiter = parse_arbiter(opts.flag("arbiter").unwrap_or("hol"))?;
-    let engine = parse_engine(opts.flag("engine").unwrap_or("cycle"))?;
     let json: bool = opts.flag_or("json", false)?;
     let fail_uplinks: usize = opts.flag_or("fail-uplinks", 0)?;
     let fail_at: u64 = opts.flag_or("fail-at", cycles / 4 + cycles / 2)?;
@@ -98,13 +77,12 @@ pub fn run(opts: &Opts, rec: &Registry) -> Result<String, CliError> {
         ..SimConfig::default()
     };
     let workload = Workload::permutation(&perm, rate);
-    let stats =
-        match engine {
-            Engine::Cycle => Simulator::new(ft.topology(), cfg, policy)
-                .try_run_with_faults_recorded(&workload, seed ^ 0xC0FFEE, &faults, rec),
-            Engine::Event => EventSimulator::new(ft.topology(), cfg, policy)
-                .try_run_with_faults_recorded(&workload, seed ^ 0xC0FFEE, &faults, rec),
-        }
+    let run_spec = RunSpec {
+        faults: Some(&faults),
+        churn: None,
+    };
+    let (stats, _) = EventSimulator::new(ft.topology(), cfg, policy)
+        .try_run_with(&workload, seed ^ 0xC0FFEE, &run_spec, rec)
         .map_err(|e| CliError::Failed(e.to_string()))?;
 
     if json {
@@ -113,20 +91,15 @@ pub fn run(opts: &Opts, rec: &Registry) -> Result<String, CliError> {
             router,
             spec,
             rate,
-            engine,
             fail_uplinks,
             fail_at,
             &stats,
         ));
     }
     let mut out = String::new();
-    let engine_tag = match engine {
-        Engine::Cycle => String::new(),
-        Engine::Event => ", event engine".to_string(),
-    };
     let _ = writeln!(
         out,
-        "simulated `{spec}` at rate {rate} on ftree({}+{}, {}) with `{router}` ({arbiter:?}{engine_tag}):",
+        "simulated `{spec}` at rate {rate} on ftree({}+{}, {}) with `{router}` ({arbiter:?}, event engine):",
         ft.n(),
         ft.m(),
         ft.r()
@@ -162,27 +135,19 @@ pub fn run(opts: &Opts, rec: &Registry) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// One flat JSON object: run parameters plus the stats both engines agree
-/// on exactly (bit-identical across `--engine cycle` and `--engine event`
-/// for the same seed).
-#[allow(clippy::too_many_arguments)]
+/// One flat JSON object: run parameters plus the run's statistics.
 fn render_json(
     ft: &Ftree,
     router: &str,
     pattern: &str,
     rate: f64,
-    engine: Engine,
     fail_uplinks: usize,
     fail_at: u64,
     stats: &SimStats,
 ) -> String {
-    let engine = match engine {
-        Engine::Cycle => "cycle",
-        Engine::Event => "event",
-    };
     format!(
         concat!(
-            "{{\"command\":\"simulate\",\"engine\":\"{engine}\",",
+            "{{\"command\":\"simulate\",\"engine\":\"event\",",
             "\"n\":{n},\"m\":{m},\"r\":{r},",
             "\"router\":\"{router}\",\"pattern\":\"{pattern}\",\"rate\":{rate},",
             "\"fail_uplinks\":{fail_uplinks},\"fail_at\":{fail_at},",
@@ -193,7 +158,6 @@ fn render_json(
             "\"latency_p50\":{p50},\"latency_p95\":{p95},\"latency_p99\":{p99},",
             "\"latency_max\":{lmax},\"conservation_ok\":{conservation}}}"
         ),
-        engine = engine,
         n = ft.n(),
         m = ft.m(),
         r = ft.r(),
@@ -236,8 +200,9 @@ mod tests {
         .unwrap();
         assert!(out.contains("accepted throughput"));
         let snap = reg.snapshot();
-        assert!(snap.counter("sim.injected").unwrap_or(0) > 0);
-        assert!(snap.spans.iter().any(|s| s.path == "sim.run"), "{snap:?}");
+        assert!(snap.counter("evsim.injected").unwrap_or(0) > 0);
+        assert!(snap.counter("evsim.executed_cycles").unwrap_or(0) > 0);
+        assert!(snap.spans.iter().any(|s| s.path == "evsim.run"), "{snap:?}");
     }
 
     #[test]
@@ -251,25 +216,17 @@ mod tests {
     }
 
     #[test]
-    fn event_engine_matches_cycle_engine_output() {
-        let args = "2 4 5 --pattern shift:3 --rate 0.9 --cycles 800 --json true";
-        let cycle = run(&argv(&format!("{args} --engine cycle")), &Registry::new()).unwrap();
-        let reg = Registry::new();
-        let event = run(&argv(&format!("{args} --engine event")), &reg).unwrap();
-        assert_eq!(
-            cycle.replace("\"engine\":\"cycle\"", "\"engine\":\"event\""),
-            event,
-            "engines must agree field for field"
-        );
-        let snap = reg.snapshot();
-        assert!(snap.counter("evsim.injected").unwrap_or(0) > 0);
-        assert!(snap.spans.iter().any(|s| s.path == "evsim.run"), "{snap:?}");
+    fn out_of_range_rate_is_a_usage_error() {
+        for rate in ["1.5", "-0.1", "NaN"] {
+            let err = run(&argv(&format!("2 4 5 --rate {rate}")), &Registry::new()).unwrap_err();
+            assert!(matches!(err, CliError::Usage(_)), "--rate {rate}: {err}");
+        }
     }
 
     #[test]
     fn faulted_run_reports_the_outage() {
         let out = run(
-            &argv("2 4 5 --pattern shift:3 --cycles 600 --fail-uplinks 2 --engine event"),
+            &argv("2 4 5 --pattern shift:3 --cycles 600 --fail-uplinks 2"),
             &Registry::new(),
         )
         .unwrap();
@@ -279,7 +236,7 @@ mod tests {
     }
 
     #[test]
-    fn engine_and_arbiter_parsing() {
+    fn arbiter_parsing() {
         assert_eq!(parse_arbiter("hol").unwrap(), Arbiter::HolFifo);
         assert_eq!(
             parse_arbiter("islip:3").unwrap(),
@@ -291,8 +248,5 @@ mod tests {
         );
         assert!(parse_arbiter("magic").is_err());
         assert!(parse_arbiter("islip:x").is_err());
-        assert_eq!(parse_engine("cycle").unwrap(), Engine::Cycle);
-        assert_eq!(parse_engine("event").unwrap(), Engine::Event);
-        assert!(parse_engine("quantum").is_err());
     }
 }

@@ -7,7 +7,7 @@
 //! ftclos verify <n> <m> <r> [--router R]     complete Lemma 1 nonblocking audit
 //! ftclos route  <n> <m> <r> [--router R] [--pattern P] [--seed S]
 //! ftclos simulate <n> <m> <r> [--router R] [--pattern P] [--rate F]
-//!                 [--cycles N] [--arbiter hol|islip:K] [--engine cycle|event]
+//!                 [--cycles N] [--arbiter hol|islip:K]
 //!                 [--fail-uplinks K] [--fail-at C] [--seed S] [--json]
 //! ftclos blocking <n> <m> <r> [--router R] [--samples N] [--seed S]
 //! ftclos faults <n> <m> <r> [--fail-tops K] [--fail-links K] [--seed S]
@@ -170,7 +170,7 @@ USAGE:
   ftclos verify <n> <m> <r> [--router yuan|dmodk|smodk]
   ftclos route  <n> <m> <r> [--router R] [--pattern P] [--seed S]
   ftclos simulate <n> <m> <r> [--router R] [--pattern P] [--rate F]
-                  [--cycles N] [--arbiter hol|islip:K] [--engine cycle|event]
+                  [--cycles N] [--arbiter hol|islip:K]
                   [--fail-uplinks K] [--fail-at C] [--seed S] [--json]
   ftclos blocking <n> <m> <r> [--router R] [--samples N] [--seed S]
   ftclos faults <n> <m> <r> [--fail-tops K] [--fail-links K] [--seed S]

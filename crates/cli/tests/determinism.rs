@@ -86,10 +86,9 @@ fn deadlock_witness_and_injection_are_thread_count_invariant() {
 
 #[test]
 fn event_engine_reports_are_thread_count_invariant() {
-    // The event-driven engine is single-threaded by construction, but its
+    // The simulator kernel is single-threaded by construction, but its
     // reports ride the same CLI plumbing as everything else; both output
-    // forms must be byte-identical at any thread count — and identical to
-    // the cycle engine's run, engine tag aside.
+    // forms must be byte-identical at any thread count.
     let base = [
         "simulate",
         "2",
@@ -105,25 +104,11 @@ fn event_engine_reports_are_thread_count_invariant() {
         "5",
     ];
     for json in [false, true] {
-        let mut event = base.to_vec();
-        event.extend(["--engine", "event"]);
+        let mut args = base.to_vec();
         if json {
-            event.push("--json");
+            args.push("--json");
         }
-        assert_thread_invariant(&event);
-        let mut cycle = base.to_vec();
-        cycle.extend(["--engine", "cycle"]);
-        if json {
-            cycle.push("--json");
-        }
-        let cycle_out = run_with_threads(&cycle, "1")
-            .replace("\"engine\":\"cycle\"", "\"engine\":\"event\"")
-            .replace("(HolFifo)", "(HolFifo, event engine)");
-        assert_eq!(
-            cycle_out,
-            run_with_threads(&event, "1"),
-            "engines must agree on the full report"
-        );
+        assert_thread_invariant(&args);
     }
 }
 

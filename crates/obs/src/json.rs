@@ -7,8 +7,17 @@
 //! objects, arrays, strings with the common escapes, finite numbers, bools,
 //! and null. Object key order is preserved on parse and re-emit, so a
 //! parse→write round trip of an already-normalized document is stable.
+//!
+//! Hostile input is an error, never a crash: nesting deeper than
+//! [`MAX_DEPTH`] is rejected before it can exhaust the stack, and numbers
+//! that overflow `f64` are rejected instead of turning into infinities the
+//! writer could only emit as `null`.
 
 use std::fmt;
+
+/// Deepest array/object nesting [`Json::parse`] accepts. The workspace's
+/// deepest documents (trace span trees) nest a few dozen levels.
+pub const MAX_DEPTH: usize = 256;
 
 /// A parsed JSON value. Object entries keep their source order.
 #[derive(Clone, Debug, PartialEq)]
@@ -33,7 +42,12 @@ impl Json {
     /// Parse a JSON document. Returns a message with byte offset on error.
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
-        let mut p = Parser { bytes, pos: 0 };
+        let mut p = Parser {
+            text,
+            bytes,
+            pos: 0,
+            depth: 0,
+        };
         p.skip_ws();
         let v = p.value()?;
         p.skip_ws();
@@ -175,8 +189,11 @@ fn write_escaped(s: &str, out: &mut String) {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -212,8 +229,22 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(open @ (b'{' | b'[')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                        self.pos
+                    ));
+                }
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -314,12 +345,13 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so slicing
-                    // on char boundaries is safe via chars()).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest)
-                        .map_err(|_| "invalid utf-8 in string".to_string())?;
-                    let ch = s.chars().next().ok_or("unterminated string")?;
+                    // Consume one UTF-8 scalar; `pos` only ever advances
+                    // over whole scalars, so it sits on a char boundary.
+                    let ch = self
+                        .text
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or("unterminated string")?;
                     out.push(ch);
                     self.pos += ch.len_utf8();
                 }
@@ -340,9 +372,11 @@ impl Parser<'_> {
         }
         let text = std::str::from_utf8(&self.bytes[start..self.pos])
             .map_err(|_| "invalid number".to_string())?;
-        text.parse::<f64>()
-            .map(Json::Num)
-            .map_err(|_| format!("invalid number at byte {start}"))
+        match text.parse::<f64>() {
+            Ok(v) if v.is_finite() => Ok(Json::Num(v)),
+            Ok(_) => Err(format!("number out of range at byte {start}")),
+            Err(_) => Err(format!("invalid number at byte {start}")),
+        }
     }
 }
 
@@ -419,6 +453,35 @@ mod tests {
         assert!(Json::parse("[1,]").is_err());
         assert!(Json::parse("{\"a\":1} extra").is_err());
         assert!(Json::parse("\"unterminated").is_err());
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let deep = "[".repeat(200_000);
+        let err = Json::parse(&deep).unwrap_err();
+        assert!(
+            err.contains(&format!("at byte {MAX_DEPTH}")),
+            "error names the offending byte: {err}"
+        );
+        let objects = "{\"a\":".repeat(200_000);
+        assert!(Json::parse(&objects).is_err());
+        // The limit itself still parses, and balanced siblings do not add up.
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&at_limit).is_ok());
+        let over = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        assert!(Json::parse(&over).is_err());
+        let siblings = format!("[{}]", vec!["[[]]"; 1_000].join(","));
+        assert!(Json::parse(&siblings).is_ok());
+    }
+
+    #[test]
+    fn non_finite_numbers_are_rejected() {
+        for text in ["1e999999", "-1e999999", "[1e400]", "{\"x\":-2e308}"] {
+            let err = Json::parse(text).unwrap_err();
+            assert!(err.contains("out of range at byte"), "{text}: {err}");
+        }
+        assert_eq!(Json::parse("1e308").unwrap().as_f64(), Some(1e308));
+        assert_eq!(Json::parse("1e-400").unwrap().as_f64(), Some(0.0));
     }
 
     #[test]

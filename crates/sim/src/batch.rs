@@ -2,7 +2,7 @@
 //! curves (the load-latency plots standard in interconnect evaluation).
 
 use crate::config::SimConfig;
-use crate::engine::Simulator;
+use crate::engine::EventSimulator;
 use crate::policy::Policy;
 use crate::workload::Workload;
 use ftclos_topo::Topology;
@@ -35,7 +35,7 @@ pub fn sweep_injection_rates(
         .par_iter()
         .enumerate()
         .map(|(i, &rate)| {
-            let mut sim = Simulator::new(topo, cfg, make_policy());
+            let mut sim = EventSimulator::new(topo, cfg, make_policy());
             let stats = sim.run(&make_workload(rate), seed.wrapping_add(i as u64 * 7919));
             ThroughputPoint {
                 offered: rate,
@@ -64,7 +64,7 @@ pub fn sweep_injection_rates_isolated(
         .enumerate()
         .map(|(i, &rate)| {
             let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let mut sim = Simulator::new(topo, cfg, make_policy());
+                let mut sim = EventSimulator::new(topo, cfg, make_policy());
                 sim.try_run(&make_workload(rate), seed.wrapping_add(i as u64 * 7919))
             }));
             match run {
@@ -98,7 +98,7 @@ pub fn saturation_throughput(
     make_workload: impl Fn(f64) -> Workload,
     seed: u64,
 ) -> f64 {
-    let mut sim = Simulator::new(topo, cfg, policy);
+    let mut sim = EventSimulator::new(topo, cfg, policy);
     sim.run(&make_workload(1.0), seed).accepted_throughput()
 }
 

@@ -1,7 +1,7 @@
 //! Churn-run instrumentation: replan modes, per-epoch statistics, and
 //! time-to-reconverge measurement.
 //!
-//! A churn run (see [`crate::Simulator::try_run_churn`]) slices the
+//! A churn run (see [`crate::Engine::try_run_with`]) slices the
 //! simulation into **epochs** at every cycle where at least one liveness
 //! transition applies. For each epoch the engine records the injected /
 //! delivered / lost counters and, post-run, the **time to reconverge**: the
@@ -15,6 +15,7 @@
 //! only after `K` stable cycles, via
 //! [`ftclos_routing::LinkAdmission`]).
 
+use crate::stats::SimStats;
 use serde::{Deserialize, Serialize};
 
 /// How the simulator's path policy reacts to liveness transitions.
@@ -174,28 +175,105 @@ impl ChurnReport {
     }
 }
 
-/// Cumulative counter snapshot taken at an epoch boundary. Engine-internal:
-/// exposed (hidden) so the event-driven engine in `ftclos-evsim` can build
-/// byte-identical [`ChurnReport`]s from the same boundary bookkeeping.
-#[doc(hidden)]
+/// Cumulative counter snapshot taken at an epoch boundary.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct EpochMark {
-    pub cycle: u64,
-    pub downs: u64,
-    pub ups: u64,
-    pub injected: u64,
-    pub delivered: u64,
-    pub timed_out: u64,
-    pub retries: u64,
-    pub abandoned: u64,
+struct EpochMark {
+    cycle: u64,
+    downs: u64,
+    ups: u64,
+    injected: u64,
+    delivered: u64,
+    timed_out: u64,
+    retries: u64,
+    abandoned: u64,
+}
+
+impl EpochMark {
+    fn at(cycle: u64, stats: &SimStats) -> Self {
+        Self {
+            cycle,
+            downs: 0,
+            ups: 0,
+            injected: stats.injected_total,
+            delivered: stats.delivered_total,
+            timed_out: stats.timed_out_total,
+            retries: stats.retries_total,
+            abandoned: stats.abandoned_total,
+        }
+    }
+}
+
+/// A churn run's epoch bookkeeping: one mark per transition cycle plus
+/// the per-cycle delivery series the reconvergence measurement reads.
+#[derive(Debug)]
+pub(crate) struct EpochLog {
+    marks: Vec<EpochMark>,
+    delivered_per_cycle: Vec<u32>,
+    delivered_seen: u64,
+}
+
+impl EpochLog {
+    /// A log holding the run-start baseline mark.
+    pub(crate) fn new() -> Self {
+        Self {
+            marks: vec![EpochMark::default()],
+            delivered_per_cycle: Vec::new(),
+            delivered_seen: 0,
+        }
+    }
+
+    /// Open an epoch at cycle `now`, where `downs` deaths and `ups`
+    /// revivals applied; transitions at cycle 0 fold into the baseline.
+    pub(crate) fn transition(&mut self, now: u64, downs: u64, ups: u64, stats: &SimStats) {
+        match self.marks.last_mut() {
+            Some(last) if last.cycle == now => {
+                last.downs += downs;
+                last.ups += ups;
+            }
+            _ => self.marks.push(EpochMark {
+                downs,
+                ups,
+                ..EpochMark::at(now, stats)
+            }),
+        }
+    }
+
+    /// Close a cycle with `delivered_total` packets delivered so far.
+    pub(crate) fn end_cycle(&mut self, delivered_total: u64) {
+        self.delivered_per_cycle
+            .push((delivered_total - self.delivered_seen) as u32);
+        self.delivered_seen = delivered_total;
+    }
+
+    /// Account for `cycles` fast-forwarded cycles, which deliver nothing.
+    pub(crate) fn skip(&mut self, cycles: u64) {
+        self.delivered_per_cycle
+            .extend(std::iter::repeat_n(0u32, cycles as usize));
+    }
+
+    /// The report of a run that ended at cycle `now` with `stats`.
+    pub(crate) fn report(
+        &self,
+        cfg: &ChurnConfig,
+        now: u64,
+        stats: &SimStats,
+        warmup: u64,
+    ) -> ChurnReport {
+        build_report(
+            cfg,
+            &self.marks,
+            EpochMark::at(now, stats),
+            &self.delivered_per_cycle,
+            warmup,
+        )
+    }
 }
 
 /// Assemble the [`ChurnReport`] from boundary snapshots and the per-cycle
 /// delivery series. `marks[0]` must be the run-start snapshot at cycle 0;
 /// `final_mark` the post-run totals; `delivered_per_cycle[c]` the packets
 /// delivered in cycle `c`; `warmup` the first measured cycle.
-#[doc(hidden)]
-pub fn build_report(
+fn build_report(
     cfg: &ChurnConfig,
     marks: &[EpochMark],
     final_mark: EpochMark,

@@ -20,8 +20,16 @@
 //! fabric and a crossbar deliver ~100% throughput while a same-cost
 //! rearrangeable fat-tree with `d mod k` routing saturates well below.
 //!
+//! One kernel ([`Engine`]) runs every simulation; a compile-time
+//! [`Schedule`] decides where it looks for work. [`EventSimulator`] (the
+//! [`Sparse`] schedule) visits only components with pending work and
+//! fast-forwards inert drain cycles over an [`EventWheel`], which is what
+//! reaches 10^6 hosts; [`Simulator`] (the [`Dense`] schedule) sweeps the
+//! whole fabric every cycle and stays as the oracle the differential
+//! tests compare against. Both produce identical results on every input.
+//!
 //! ```
-//! use ftclos_sim::{Policy, SimConfig, Simulator, Workload};
+//! use ftclos_sim::{EventSimulator, Policy, SimConfig, Workload};
 //! use ftclos_topo::Ftree;
 //! use ftclos_routing::YuanDeterministic;
 //! use ftclos_traffic::patterns;
@@ -33,7 +41,7 @@
 //! let perm = patterns::random_full(10, &mut rng);
 //! let policy = Policy::from_single_path(&router);
 //! let cfg = SimConfig { warmup_cycles: 100, measure_cycles: 400, ..SimConfig::default() };
-//! let stats = Simulator::new(ft.topology(), cfg, policy)
+//! let stats = EventSimulator::new(ft.topology(), cfg, policy)
 //!     .run(&Workload::permutation(&perm, 0.9), 42);
 //! assert!(stats.accepted_throughput() > 0.85); // nonblocking ≈ line rate
 //! ```
@@ -47,24 +55,19 @@ pub mod fault;
 pub mod policy;
 pub mod state;
 pub mod stats;
+pub mod wheel;
 pub mod witness;
 pub mod workload;
 
 pub use batch::{sweep_injection_rates, sweep_injection_rates_isolated, ThroughputPoint};
-#[doc(hidden)]
-pub use churn::{build_report, EpochMark};
 pub use churn::{ChurnConfig, ChurnReport, EpochStats, ReplanMode};
 pub use config::{Arbiter, SimConfig};
-pub use engine::Simulator;
+pub use engine::{Dense, Engine, EventSimulator, RunSpec, Schedule, Simulator, Sparse};
 pub use error::{ConfigError, SimError, StallReport, Strand};
 pub use fault::{ChurnSchedule, FaultEvent, FaultSchedule};
 pub use policy::Policy;
-#[doc(hidden)]
-pub use state::{stall_report, Packet};
 pub use state::{PagedVec, SimArena};
 pub use stats::{ChannelBusy, SimStats, UtilizationHistogram};
-pub use witness::{
-    run_pinned_injection, run_pinned_injection_recorded, run_pinned_injection_watchdog,
-    run_pinned_injection_watchdog_recorded, PinnedRoute, WitnessRun,
-};
+pub use wheel::EventWheel;
+pub use witness::{run_pinned_injection, PinnedRoute, WitnessRun};
 pub use workload::Workload;

@@ -1,8 +1,8 @@
 //! Paged lazy simulator state — `O(touched)` memory on sparse runs.
 //!
-//! Both engines (the cycle oracle here and the event-driven engine in
-//! `ftclos-evsim`) index their mutable state by channel id: packet queues,
-//! arbiter pointers, wire-busy deadlines, and liveness flags. Dense
+//! The simulator kernel indexes its mutable state by channel id under
+//! either schedule: packet queues, arbiter pointers, wire-busy deadlines,
+//! and liveness flags. Dense
 //! `vec![default; num_channels]` allocation is what capped the simulators
 //! near 100k hosts: a `RecursiveNonblocking(24)` fabric has ~415M directed
 //! channels, so the dense arrays alone cost tens of gigabytes before the
@@ -30,8 +30,7 @@ pub const PAGE_SHIFT: usize = 9;
 /// Entries per page.
 pub const PAGE_LEN: usize = 1 << PAGE_SHIFT;
 
-/// One in-flight packet, shared by both engines (identical layout and
-/// semantics; the engines differ only in where they look for work).
+/// One in-flight packet.
 #[derive(Clone, Debug)]
 pub struct Packet {
     /// Source leaf id.
@@ -58,7 +57,7 @@ pub struct Packet {
 /// Untouched entries read as the default value; the first mutable access to
 /// an entry materializes its page (from the freelist when one is spare).
 /// Page *placement* depends on touch order, but every observation — `get`,
-/// [`PagedVec::iter_touched`], [`PagedVec::for_each_touched_mut`] — is in
+/// [`PagedVec::iter_touched`], [`PagedVec::try_for_each_touched_mut`] — is in
 /// ascending index order, so behavior never depends on access history.
 #[derive(Clone, Debug)]
 pub struct PagedVec<T> {
@@ -319,8 +318,8 @@ impl<T: Clone + Default> Default for PagedVec<T> {
 /// Build the stall watchdog's diagnosis from the frozen queue state: one
 /// [`Strand`] per blocked queue head (channel queues by ascending id, then
 /// injection queues by slot) and the credit wait-for cycle among held
-/// channels, if one exists. Shared by both engines; iterating touched
-/// pages only is exact because untouched queues are empty.
+/// channels, if one exists. Iterating touched pages only is exact because
+/// untouched queues are empty.
 pub fn stall_report(
     cycle: u64,
     in_flight: u64,

@@ -24,8 +24,8 @@
 //! (`ftclos deadlock --inject`).
 
 use crate::config::Arbiter;
-use crate::{Policy, SimConfig, SimError, SimStats, Simulator, Workload};
-use ftclos_obs::{Noop, Recorder};
+use crate::{EventSimulator, Policy, SimConfig, SimError, SimStats, Workload};
+use ftclos_obs::Recorder;
 use ftclos_topo::{ChannelId, Topology};
 use std::collections::HashSet;
 
@@ -79,73 +79,23 @@ impl WitnessRun {
 /// route (each leaf has one injection stream); `queue_capacity` should be
 /// small (2–4) so the circular wait fills quickly.
 ///
-/// # Errors
-/// [`SimError::PinnedPath`] if a surviving route fails path validation,
-/// [`SimError::Config`] if the derived configuration is rejected
-/// (`queue_capacity == 0`), or any engine error from the run itself.
-pub fn run_pinned_injection(
-    topo: &Topology,
-    routes: &[PinnedRoute],
-    cycles: u64,
-    queue_capacity: usize,
-    seed: u64,
-) -> Result<WitnessRun, SimError> {
-    run_pinned_injection_recorded(topo, routes, cycles, queue_capacity, seed, &Noop)
-}
-
-/// [`run_pinned_injection`] with instrumentation: the run records under the
-/// engine's `sim.run` span and counters (see `Simulator::try_run_recorded`).
-///
-/// # Errors
-/// As for [`run_pinned_injection`].
-pub fn run_pinned_injection_recorded<R: Recorder>(
-    topo: &Topology,
-    routes: &[PinnedRoute],
-    cycles: u64,
-    queue_capacity: usize,
-    seed: u64,
-    rec: &R,
-) -> Result<WitnessRun, SimError> {
-    run_pinned_injection_watchdog_recorded(topo, routes, cycles, queue_capacity, 0, seed, rec)
-}
-
-/// [`run_pinned_injection`] with the bounded-progress stall watchdog armed:
+/// With `watchdog > 0` the bounded-progress stall watchdog is armed:
 /// instead of letting a wedged run spin through the drain phase to the
 /// cycle cap and come back as mere `leftover_packets`, the engine aborts
 /// after `watchdog` progress-free cycles with [`SimError::Stalled`]
 /// carrying the strand graph — every blocked head packet, the channel it
-/// holds, the channel it waits for, and the credit wait-for cycle. Pass
-/// `watchdog = 0` to disable (identical to [`run_pinned_injection`]).
+/// holds, the channel it waits for, and the credit wait-for cycle. The run
+/// records under the engine's `evsim.run` span and counters (see
+/// [`crate::Engine::try_run_with`]); pass [`ftclos_obs::Noop`] to record
+/// nothing.
 ///
 /// # Errors
-/// As for [`run_pinned_injection`], plus [`SimError::Stalled`] when the
-/// watchdog fires — the *expected* outcome when the pinned routes realize a
-/// cyclic channel dependency.
-pub fn run_pinned_injection_watchdog(
-    topo: &Topology,
-    routes: &[PinnedRoute],
-    cycles: u64,
-    queue_capacity: usize,
-    watchdog: u64,
-    seed: u64,
-) -> Result<WitnessRun, SimError> {
-    run_pinned_injection_watchdog_recorded(
-        topo,
-        routes,
-        cycles,
-        queue_capacity,
-        watchdog,
-        seed,
-        &Noop,
-    )
-}
-
-/// [`run_pinned_injection_watchdog`] with instrumentation (see
-/// [`run_pinned_injection_recorded`]).
-///
-/// # Errors
-/// As for [`run_pinned_injection_watchdog`].
-pub fn run_pinned_injection_watchdog_recorded<R: Recorder>(
+/// [`SimError::PinnedPath`] if a surviving route fails path validation,
+/// [`SimError::Config`] if the derived configuration is rejected
+/// (`queue_capacity == 0`), [`SimError::Stalled`] when the watchdog fires
+/// — the *expected* outcome when the pinned routes realize a cyclic
+/// channel dependency — or any other engine error from the run itself.
+pub fn run_pinned_injection<R: Recorder>(
     topo: &Topology,
     routes: &[PinnedRoute],
     cycles: u64,
@@ -172,7 +122,7 @@ pub fn run_pinned_injection_watchdog_recorded<R: Recorder>(
         stall_watchdog: watchdog,
         ..SimConfig::default()
     };
-    let stats = Simulator::new(topo, cfg, policy).try_run_recorded(&workload, seed, rec)?;
+    let stats = EventSimulator::new(topo, cfg, policy).try_run_recorded(&workload, seed, rec)?;
     Ok(WitnessRun {
         pinned_pairs: pairs.len(),
         stats,
@@ -182,6 +132,7 @@ pub fn run_pinned_injection_watchdog_recorded<R: Recorder>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ftclos_obs::Noop;
     use ftclos_routing::{DModK, SinglePathRouter};
     use ftclos_topo::Ftree;
     use ftclos_traffic::SdPair;
@@ -213,7 +164,9 @@ mod tests {
     #[test]
     fn valley_cycle_wedges_and_conserves() {
         let ft = Ftree::new(1, 1, 4).unwrap();
-        let run = run_pinned_injection(ft.topology(), &valley_routes(&ft), 200, 2, 0xDEAD).unwrap();
+        let run =
+            run_pinned_injection(ft.topology(), &valley_routes(&ft), 200, 2, 0, 0xDEAD, &Noop)
+                .unwrap();
         assert_eq!(run.pinned_pairs, 4);
         assert!(
             run.wedged(),
@@ -232,9 +185,16 @@ mod tests {
         // must be non-empty (the stall is the circular credit wait) and
         // every cycle channel must be one of the valley's up/down channels.
         let ft = Ftree::new(1, 1, 4).unwrap();
-        let err =
-            run_pinned_injection_watchdog(ft.topology(), &valley_routes(&ft), 200, 2, 64, 0xDEAD)
-                .unwrap_err();
+        let err = run_pinned_injection(
+            ft.topology(),
+            &valley_routes(&ft),
+            200,
+            2,
+            64,
+            0xDEAD,
+            &Noop,
+        )
+        .unwrap_err();
         let SimError::Stalled(report) = err else {
             panic!("expected Stalled, got {err}");
         };
@@ -257,9 +217,16 @@ mod tests {
             );
         }
         // Deterministic: the same run yields the same diagnosis.
-        let err2 =
-            run_pinned_injection_watchdog(ft.topology(), &valley_routes(&ft), 200, 2, 64, 0xDEAD)
-                .unwrap_err();
+        let err2 = run_pinned_injection(
+            ft.topology(),
+            &valley_routes(&ft),
+            200,
+            2,
+            64,
+            0xDEAD,
+            &Noop,
+        )
+        .unwrap_err();
         assert_eq!(SimError::Stalled(report), err2);
     }
 
@@ -270,13 +237,14 @@ mod tests {
         // mere leftover packets. The cap exit must report the stall instead
         // when the watchdog was armed and mid-freeze.
         let ft = Ftree::new(1, 1, 4).unwrap();
-        let err = run_pinned_injection_watchdog(
+        let err = run_pinned_injection(
             ft.topology(),
             &valley_routes(&ft),
             50,
             2,
             2 * SimConfig::DRAIN_CAP, // cannot reach the threshold in time
             0xDEAD,
+            &Noop,
         )
         .unwrap_err();
         let SimError::Stalled(report) = err else {
@@ -304,8 +272,8 @@ mod tests {
             })
             .collect();
         let watched =
-            run_pinned_injection_watchdog(ft.topology(), &routes, 200, 2, 64, 0xDEAD).unwrap();
-        let plain = run_pinned_injection(ft.topology(), &routes, 200, 2, 0xDEAD).unwrap();
+            run_pinned_injection(ft.topology(), &routes, 200, 2, 64, 0xDEAD, &Noop).unwrap();
+        let plain = run_pinned_injection(ft.topology(), &routes, 200, 2, 0, 0xDEAD, &Noop).unwrap();
         assert_eq!(watched.stats, plain.stats);
         assert!(!watched.wedged());
     }
@@ -324,7 +292,7 @@ mod tests {
                 PinnedRoute::new(r.src, r.dst, path.channels().to_vec())
             })
             .collect();
-        let run = run_pinned_injection(ft.topology(), &routes, 200, 2, 0xDEAD).unwrap();
+        let run = run_pinned_injection(ft.topology(), &routes, 200, 2, 0, 0xDEAD, &Noop).unwrap();
         assert_eq!(run.stats.leftover_packets, 0, "{:?}", run.stats);
         assert!(!run.wedged());
         assert!(run.conservation_ok());
@@ -341,7 +309,7 @@ mod tests {
             PinnedRoute::new(0, 3, path(0, 3)), // same source: dropped
             PinnedRoute::new(1, 3, path(1, 3)),
         ];
-        let run = run_pinned_injection(ft.topology(), &routes, 50, 2, 1).unwrap();
+        let run = run_pinned_injection(ft.topology(), &routes, 50, 2, 0, 1, &Noop).unwrap();
         assert_eq!(run.pinned_pairs, 2);
         assert!(!run.wedged());
     }
@@ -355,7 +323,7 @@ mod tests {
             2,
             vec![ft.leaf_up_channel(0, 0), ft.leaf_up_channel(1, 0)],
         )];
-        let err = run_pinned_injection(ft.topology(), &routes, 10, 2, 1).unwrap_err();
+        let err = run_pinned_injection(ft.topology(), &routes, 10, 2, 0, 1, &Noop).unwrap_err();
         assert!(
             matches!(err, SimError::PinnedPath { src: 0, dst: 2, .. }),
             "{err}"

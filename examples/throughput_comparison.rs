@@ -8,7 +8,7 @@
 
 use ftclos::analysis::TextTable;
 use ftclos::routing::{DModK, SinglePathRouter, YuanDeterministic};
-use ftclos::sim::{Policy, SimConfig, Simulator, Workload};
+use ftclos::sim::{EventSimulator, Policy, SimConfig, Workload};
 use ftclos::topo::{crossbar, Crossbar, Ftree};
 use ftclos::traffic::patterns;
 use rand::SeedableRng;
@@ -50,7 +50,7 @@ fn main() {
 
     let xb_router = XbRouter(&xb);
     let perm = patterns::random_derangement(24, &mut rng);
-    let s = Simulator::new(xb.topology(), cfg, Policy::from_single_path(&xb_router))
+    let s = EventSimulator::new(xb.topology(), cfg, Policy::from_single_path(&xb_router))
         .run(&Workload::permutation(&perm, 1.0), 1);
     table.row([
         "crossbar".to_string(),
@@ -61,7 +61,7 @@ fn main() {
 
     let nb_router = YuanDeterministic::new(&nb).unwrap();
     let perm = patterns::random_derangement(24, &mut rng);
-    let s = Simulator::new(nb.topology(), cfg, Policy::from_single_path(&nb_router))
+    let s = EventSimulator::new(nb.topology(), cfg, Policy::from_single_path(&nb_router))
         .run(&Workload::permutation(&perm, 1.0), 2);
     table.row([
         "nonblocking ftree(2+4,12)".to_string(),
@@ -72,7 +72,7 @@ fn main() {
 
     let ft_router = DModK::new(&ft);
     let perm = patterns::random_derangement(72, &mut rng);
-    let s = Simulator::new(ft.topology(), cfg, Policy::from_single_path(&ft_router))
+    let s = EventSimulator::new(ft.topology(), cfg, Policy::from_single_path(&ft_router))
         .run(&Workload::permutation(&perm, 1.0), 3);
     table.row([
         "FT(12,2) + d-mod-k".to_string(),

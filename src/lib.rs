@@ -10,8 +10,7 @@
 //! | [`traffic`] | `ftclos-traffic` | SD pairs, validated permutations, structured/random/adversarial patterns, exhaustive enumerators |
 //! | [`routing`] | `ftclos-routing` | Theorem 3 deterministic routing, `d mod k`, oblivious multipath, NONBLOCKINGADAPTIVE (Fig. 4), greedy local adaptive, centralized edge-coloring, forwarding tables |
 //! | [`core`] | `ftclos-core` | Lemma 1 audits, blocking search, Lemma 2 solvers, bundled nonblocking fabrics, Table I designs |
-//! | [`sim`] | `ftclos-sim` | cycle-level VOQ packet simulator with pluggable path policies |
-//! | [`evsim`] | `ftclos-evsim` | event-driven simulator core for 100k+ host fabrics: activity tracking, event wheel, exact replay of the cycle engine |
+//! | [`sim`] | `ftclos-sim` | packet simulator with pluggable path policies: one cycle kernel under an event-driven schedule (active sets, event wheel, drain fast-forward) for 10^6-host fabrics, plus the dense-sweep oracle schedule |
 //! | [`flowsim`] | `ftclos-flowsim` | deterministic max-min fair fluid flow-rate simulator (water-filling) for delivered throughput at datacenter scale |
 //! | [`analysis`] | `ftclos-analysis` | closed-form bounds, recurrences, power-law fits, cost models |
 //! | [`obs`] | `ftclos-obs` | zero-dep observability: span timers, counters/gauges/histograms, epoch snapshots, trace JSON + folded stacks |
@@ -36,7 +35,6 @@
 
 pub use ftclos_analysis as analysis;
 pub use ftclos_core as core;
-pub use ftclos_evsim as evsim;
 pub use ftclos_flowsim as flowsim;
 pub use ftclos_obs as obs;
 pub use ftclos_routing as routing;

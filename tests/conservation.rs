@@ -1,5 +1,5 @@
 //! Packet conservation audited *from the trace alone*: the recorder's
-//! cumulative counters and the `sim.in_flight` gauge must satisfy
+//! cumulative counters and the `evsim.in_flight` gauge must satisfy
 //! `injected = delivered + abandoned + in_flight` at **every** epoch mark
 //! the simulator emits — not just at the end of the run — and the final
 //! recorder state must agree with the engine's own `SimStats`, which are
@@ -10,7 +10,8 @@
 use ftclos::obs::Registry;
 use ftclos::routing::{ObliviousMultipath, SpreadPolicy, YuanDeterministic};
 use ftclos::sim::{
-    Arbiter, ChurnConfig, ChurnSchedule, Policy, ReplanMode, SimConfig, Simulator, Workload,
+    Arbiter, ChurnConfig, ChurnSchedule, EventSimulator, Policy, ReplanMode, RunSpec, SimConfig,
+    Workload,
 };
 use ftclos::topo::Ftree;
 use ftclos::traffic::patterns;
@@ -54,26 +55,22 @@ proptest! {
         };
         let perm = patterns::shift(ft.num_leaves() as u32, 1);
         let reg = Registry::new();
-        let (stats, _report) =
-            Simulator::new(ft.topology(), cfg, Policy::from_multipath(&mp, true))
-                .try_run_churn_recorded(
-                    &Workload::permutation(&perm, rate),
-                    seed ^ 0xBEEF,
-                    &schedule,
-                    &churn_cfg,
-                    &reg,
-                )
+        let spec = RunSpec { faults: Some(&schedule), churn: Some(&churn_cfg) };
+        let (stats, report) =
+            EventSimulator::new(ft.topology(), cfg, Policy::from_multipath(&mp, true))
+                .try_run_with(&Workload::permutation(&perm, rate), seed ^ 0xBEEF, &spec, &reg)
                 .unwrap();
+        prop_assert!(report.is_some(), "a churn config yields a churn report");
         let snap = reg.snapshot();
         prop_assert!(!snap.epochs.is_empty(), "a churn run always marks epochs");
         let mut prev = (0u64, 0u64, 0u64);
         for e in &snap.epochs {
-            let injected = e.counter("sim.injected");
-            let delivered = e.counter("sim.delivered");
-            let abandoned = e.counter("sim.abandoned");
+            let injected = e.counter("evsim.injected");
+            let delivered = e.counter("evsim.delivered");
+            let abandoned = e.counter("evsim.abandoned");
             prop_assert_eq!(
                 injected,
-                delivered + abandoned + e.gauge("sim.in_flight"),
+                delivered + abandoned + e.gauge("evsim.in_flight"),
                 "epoch `{}` leaks packets", e.label
             );
             prop_assert!(
@@ -84,10 +81,10 @@ proptest! {
         }
         prop_assert_eq!(snap.epochs.last().unwrap().label.as_str(), "end");
         // Cross-check against the engine's independently-accumulated stats.
-        prop_assert_eq!(snap.counter("sim.injected"), Some(stats.injected_total));
-        prop_assert_eq!(snap.counter("sim.delivered"), Some(stats.delivered_total));
-        prop_assert_eq!(snap.counter("sim.abandoned"), Some(stats.abandoned_total));
-        prop_assert_eq!(snap.gauge("sim.in_flight"), Some(stats.leftover_packets));
+        prop_assert_eq!(snap.counter("evsim.injected"), Some(stats.injected_total));
+        prop_assert_eq!(snap.counter("evsim.delivered"), Some(stats.delivered_total));
+        prop_assert_eq!(snap.counter("evsim.abandoned"), Some(stats.abandoned_total));
+        prop_assert_eq!(snap.gauge("evsim.in_flight"), Some(stats.leftover_packets));
         prop_assert!(stats.conservation_ok(), "{:?}", stats);
     }
 
@@ -113,21 +110,21 @@ proptest! {
         };
         let perm = patterns::shift(ft.num_leaves() as u32, 1);
         let reg = Registry::new();
-        let stats = Simulator::new(ft.topology(), cfg, Policy::from_single_path(&router))
+        let stats = EventSimulator::new(ft.topology(), cfg, Policy::from_single_path(&router))
             .try_run_recorded(&Workload::permutation(&perm, rate), seed, &reg)
             .unwrap();
         let snap = reg.snapshot();
         for e in &snap.epochs {
             prop_assert_eq!(
-                e.counter("sim.injected"),
-                e.counter("sim.delivered")
-                    + e.counter("sim.abandoned")
-                    + e.gauge("sim.in_flight"),
+                e.counter("evsim.injected"),
+                e.counter("evsim.delivered")
+                    + e.counter("evsim.abandoned")
+                    + e.gauge("evsim.in_flight"),
                 "epoch `{}` leaks packets", e.label
             );
         }
-        prop_assert_eq!(snap.counter("sim.injected"), Some(stats.injected_total));
-        prop_assert_eq!(snap.gauge("sim.in_flight"), Some(stats.leftover_packets));
+        prop_assert_eq!(snap.counter("evsim.injected"), Some(stats.injected_total));
+        prop_assert_eq!(snap.gauge("evsim.in_flight"), Some(stats.leftover_packets));
         prop_assert_eq!(stats.leftover_packets, 0, "drain must empty the fabric");
     }
 }

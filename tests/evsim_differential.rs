@@ -1,35 +1,78 @@
-//! Differential properties pinning the event-driven engine
-//! (`ftclos::evsim::EventSimulator`) to the cycle-level oracle
-//! (`ftclos::sim::Simulator`).
+//! Differential properties pinning the production schedule of the
+//! simulator kernel (`ftclos::sim::EventSimulator`, [`Sparse`]) to its
+//! oracle schedule (`ftclos::sim::Simulator`, [`Dense`]).
 //!
-//! The contract is *exact replay*, not statistical agreement: for any
-//! topology shape, policy, workload, seed, fault schedule, and churn
-//! configuration, the two engines must produce an identical `SimStats` —
-//! every counter, every latency percentile, the full per-channel busy
-//! vector — and identical churn reports and identical errors. Anything
-//! less means the event engine changed semantics, not just schedule.
+//! Both run the one kernel, so what these properties test is the
+//! *schedule*: the active-set restriction of the TTL sweep, injection
+//! links, and iSLIP; the HOL worklist against the full output sweep; and
+//! the drain fast-forward. The contract is *exact replay*, not statistical
+//! agreement: for any topology shape, policy, workload, seed, fault
+//! schedule, and churn configuration, the two schedules must produce an
+//! identical `SimStats` — every counter, every latency percentile, the
+//! full per-channel busy vector — and identical churn reports and
+//! identical errors.
 
-use ftclos::evsim::EventSimulator;
+use ftclos::obs::Noop;
 use ftclos::routing::{
     DModK, ObliviousMultipath, SinglePathRouter, SpreadPolicy, XgftRouter, YuanRecursive,
 };
 use ftclos::sim::{
-    Arbiter, ChurnConfig, ChurnSchedule, FaultSchedule, Policy, ReplanMode, SimArena, SimConfig,
-    SimStats, Simulator, Workload,
+    Arbiter, ChurnConfig, ChurnReport, ChurnSchedule, Dense, Engine, EventSimulator, FaultSchedule,
+    Policy, ReplanMode, RunSpec, Schedule, SimArena, SimConfig, SimError, SimStats, Sparse,
+    Workload,
 };
 use ftclos::topo::{kary_ntree, Ftree, RecursiveNonblocking, Topology};
 use ftclos::traffic::patterns;
 use proptest::prelude::*;
 
 /// An arena that materializes every page up front — the dense layout the
-/// engines had before paged state existed.
+/// kernel had before paged state existed.
 fn dense_arena() -> SimArena {
     let mut a = SimArena::new();
     a.set_prefill_on_prepare(true);
     a
 }
 
-/// Run both engines twice each — once with lazy paged state, once with
+/// Run `S` under a fault schedule on a fresh (or the given) arena.
+fn faulted<S: Schedule>(
+    topo: &Topology,
+    cfg: SimConfig,
+    policy: &Policy,
+    arena: SimArena,
+    w: &Workload,
+    seed: u64,
+    faults: &FaultSchedule,
+) -> Result<SimStats, SimError> {
+    let spec = RunSpec {
+        faults: Some(faults),
+        churn: None,
+    };
+    Engine::<S>::with_arena(topo, cfg, policy.clone(), arena)
+        .try_run_with(w, seed, &spec, &Noop)
+        .map(|(stats, _)| stats)
+}
+
+/// Run `S` under churn on the given arena; churn runs always report.
+fn churned<S: Schedule>(
+    topo: &Topology,
+    cfg: SimConfig,
+    policy: &Policy,
+    arena: SimArena,
+    w: &Workload,
+    seed: u64,
+    (schedule, churn): (&ChurnSchedule, &ChurnConfig),
+) -> (SimStats, ChurnReport) {
+    let spec = RunSpec {
+        faults: Some(schedule),
+        churn: Some(churn),
+    };
+    let (stats, report) = Engine::<S>::with_arena(topo, cfg, policy.clone(), arena)
+        .try_run_with(w, seed, &spec, &Noop)
+        .unwrap();
+    (stats, report.expect("churn runs report epochs"))
+}
+
+/// Run both schedules twice each — once with lazy paged state, once with
 /// every page prefilled dense — and require all four outcomes identical:
 /// stats bit for bit, and errors (stall cycle, strand graph, wait cycle)
 /// field for field. This pins the tentpole claim that paging changes
@@ -42,27 +85,23 @@ fn assert_sparse_dense_identical(
     seed: u64,
     faults: &FaultSchedule,
 ) {
-    let lazy_oracle =
-        Simulator::new(topo, cfg, policy.clone()).try_run_with_faults(w, seed, faults);
-    let dense_oracle = Simulator::with_arena(topo, cfg, policy.clone(), dense_arena())
-        .try_run_with_faults(w, seed, faults);
-    let lazy_event =
-        EventSimulator::new(topo, cfg, policy.clone()).try_run_with_faults(w, seed, faults);
-    let dense_event = EventSimulator::with_arena(topo, cfg, policy.clone(), dense_arena())
-        .try_run_with_faults(w, seed, faults);
+    let lazy_oracle = faulted::<Dense>(topo, cfg, policy, SimArena::new(), w, seed, faults);
+    let dense_oracle = faulted::<Dense>(topo, cfg, policy, dense_arena(), w, seed, faults);
+    let lazy_event = faulted::<Sparse>(topo, cfg, policy, SimArena::new(), w, seed, faults);
+    let dense_event = faulted::<Sparse>(topo, cfg, policy, dense_arena(), w, seed, faults);
     assert_eq!(
         lazy_oracle, dense_oracle,
-        "cycle engine: sparse vs dense-prefill diverged"
+        "dense schedule: lazy vs prefilled state diverged"
     );
     assert_eq!(
         lazy_event, dense_event,
-        "event engine: sparse vs dense-prefill diverged"
+        "sparse schedule: lazy vs prefilled state diverged"
     );
-    assert_eq!(lazy_oracle, lazy_event, "engines diverged");
+    assert_eq!(lazy_oracle, lazy_event, "schedules diverged");
 }
 
-/// Run both engines on identical inputs; the stats must be equal field for
-/// field (including `channel_busy`) and conserve packets.
+/// Run both schedules on identical inputs; the stats must be equal field
+/// for field (including `channel_busy`) and conserve packets.
 fn assert_exact_agreement(
     topo: &Topology,
     cfg: SimConfig,
@@ -71,17 +110,17 @@ fn assert_exact_agreement(
     seed: u64,
     faults: &FaultSchedule,
 ) -> SimStats {
-    let oracle = Simulator::new(topo, cfg, policy.clone()).try_run_with_faults(w, seed, faults);
-    let event = EventSimulator::new(topo, cfg, policy.clone()).try_run_with_faults(w, seed, faults);
+    let oracle = faulted::<Dense>(topo, cfg, policy, SimArena::new(), w, seed, faults);
+    let event = faulted::<Sparse>(topo, cfg, policy, SimArena::new(), w, seed, faults);
     let (oracle, event) = match (oracle, event) {
         (Ok(o), Ok(e)) => (o, e),
         (o, e) => {
             // Errors (e.g. a watchdog stall) must also be identical.
-            assert_eq!(o, e, "engines disagree on the run outcome");
+            assert_eq!(o, e, "schedules disagree on the run outcome");
             return SimStats::default();
         }
     };
-    assert_eq!(oracle, event, "engines diverged");
+    assert_eq!(oracle, event, "schedules diverged");
     assert!(oracle.conservation_ok(), "oracle lost packets: {oracle:?}");
     event
 }
@@ -99,7 +138,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Random ftree shapes, rates, seeds, and arbiters: congested or not,
-    /// the engines agree exactly.
+    /// the schedules agree exactly.
     #[test]
     fn ftree_shapes_agree_exactly(
         (n, m, r) in (1usize..3, 1usize..5, 2usize..5),
@@ -198,14 +237,12 @@ proptest! {
         };
         let perm = patterns::shift(8, 3);
         let w = Workload::permutation(&perm, 0.5);
+        let policy = Policy::from_multipath(&mp, true);
+        let run = (&schedule, &churn);
         let (oracle, oracle_report) =
-            Simulator::new(ft.topology(), cfg, Policy::from_multipath(&mp, true))
-                .try_run_churn(&w, seed, &schedule, &churn)
-                .unwrap();
+            churned::<Dense>(ft.topology(), cfg, &policy, SimArena::new(), &w, seed, run);
         let (event, event_report) =
-            EventSimulator::new(ft.topology(), cfg, Policy::from_multipath(&mp, true))
-                .try_run_churn(&w, seed, &schedule, &churn)
-                .unwrap();
+            churned::<Sparse>(ft.topology(), cfg, &policy, SimArena::new(), &w, seed, run);
         prop_assert_eq!(oracle, event, "stats diverged under {:?}", mode);
         prop_assert_eq!(oracle_report, event_report, "reports diverged under {:?}", mode);
     }
@@ -246,7 +283,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Sparse paged state vs dense-prefilled state, across random ftree
-    /// shapes, rates, seeds, and arbiters: all four engine/state
+    /// shapes, rates, seeds, and arbiters: all four schedule/state
     /// combinations produce bit-identical stats.
     #[test]
     fn sparse_vs_dense_shapes_agree_exactly(
@@ -346,13 +383,10 @@ proptest! {
         };
         let perm = patterns::shift(8, 3);
         let w = Workload::permutation(&perm, 0.5);
-        let lazy = EventSimulator::new(ft.topology(), cfg, Policy::from_multipath(&mp, true))
-            .try_run_churn(&w, seed, &schedule, &churn)
-            .unwrap();
-        let dense = EventSimulator::with_arena(
-            ft.topology(), cfg, Policy::from_multipath(&mp, true), dense_arena())
-            .try_run_churn(&w, seed, &schedule, &churn)
-            .unwrap();
+        let policy = Policy::from_multipath(&mp, true);
+        let run = (&schedule, &churn);
+        let lazy = churned::<Sparse>(ft.topology(), cfg, &policy, SimArena::new(), &w, seed, run);
+        let dense = churned::<Sparse>(ft.topology(), cfg, &policy, dense_arena(), &w, seed, run);
         prop_assert_eq!(lazy, dense, "churn run diverged between sparse and dense state");
     }
 }
@@ -479,7 +513,7 @@ fn untouched_fabric_allocates_o_touched_pages() {
 }
 
 /// The recursive three-level nonblocking construction — the shape the
-/// event engine exists for — agrees exactly at a testable size.
+/// sparse schedule exists for — agrees exactly at a testable size.
 #[test]
 fn recursive_three_level_agrees_exactly() {
     let net = RecursiveNonblocking::new(2).unwrap();
@@ -505,7 +539,7 @@ fn recursive_three_level_agrees_exactly() {
     assert_eq!(stats.leftover_packets, 0, "nonblocking fabric must drain");
 }
 
-/// Line rate on a provably nonblocking fabric: the event engine preserves
+/// Line rate on a provably nonblocking fabric: the sparse schedule preserves
 /// the paper's headline result (Theorem 3 routing sustains rate 1.0).
 #[test]
 fn event_engine_preserves_nonblocking_line_rate() {

@@ -359,7 +359,9 @@ fn fault_overlay_is_non_destructive() {
 fn sim_fault_drop_retry_counts_match_flow_verdicts() {
     // End to end: flows whose pinned path crosses the dead uplink are the
     // ones abandoned; everything else is delivered. Conservation holds.
-    use ftclos::sim::{Arbiter, FaultSchedule, Policy, SimConfig, Simulator, Workload};
+    use ftclos::sim::{
+        Arbiter, EventSimulator, FaultSchedule, Policy, RunSpec, SimConfig, Workload,
+    };
     use ftclos::traffic::patterns;
 
     let ft = Ftree::new(2, 4, 5).unwrap();
@@ -381,8 +383,17 @@ fn sim_fault_drop_retry_counts_match_flow_verdicts() {
     };
     let mut faults = FaultSchedule::new();
     faults.kill_channel(200, dead);
-    let stats = Simulator::new(ft.topology(), cfg, Policy::from_single_path(&router))
-        .try_run_with_faults(&Workload::permutation(&perm, 0.5), 7, &faults)
+    let stats = EventSimulator::new(ft.topology(), cfg, Policy::from_single_path(&router))
+        .try_run_with(
+            &Workload::permutation(&perm, 0.5),
+            7,
+            &RunSpec {
+                faults: Some(&faults),
+                churn: None,
+            },
+            &ftclos::obs::Noop,
+        )
+        .map(|(stats, _)| stats)
         .unwrap();
     assert!(
         stats.abandoned_total > 0,
@@ -400,7 +411,7 @@ fn sim_fault_drop_retry_counts_match_flow_verdicts() {
 
 #[test]
 fn sim_counts_unrouteable_pairs_as_refusals() {
-    use ftclos::sim::{Policy, SimConfig, Simulator, Workload};
+    use ftclos::sim::{EventSimulator, Policy, SimConfig, Workload};
     let ft = Ftree::new(2, 4, 5).unwrap();
     let router = YuanDeterministic::new(&ft).unwrap();
     // Policy knows only ONE pair; workload asks every leaf to send.
@@ -414,7 +425,7 @@ fn sim_counts_unrouteable_pairs_as_refusals() {
         ..SimConfig::default()
     };
     let stats =
-        Simulator::new(ft.topology(), cfg, policy).run(&Workload::permutation(&full, 1.0), 3);
+        EventSimulator::new(ft.topology(), cfg, policy).run(&Workload::permutation(&full, 1.0), 3);
     assert!(
         stats.injection_refusals > 0,
         "unknown pairs must be refused"

@@ -130,18 +130,14 @@ fn verify_trace_shape_is_stable() {
     assert_matches_golden("verify_trace_2_4_5.json", &doc.write());
 }
 
-/// The event engine's user-facing text output, pristine: byte-identical to
-/// the cycle engine's report apart from the engine tag in the header.
+/// The simulate command's text output, pristine. The header's `event
+/// engine` tag names the schedule every run uses; agreement with the dense
+/// oracle schedule is pinned by `tests/evsim_differential.rs`.
 #[test]
 fn simulate_event_text_is_stable() {
-    let args = "simulate 2 4 5 --pattern shift:3 --rate 0.9 --cycles 600 --seed 5";
-    let event = cli(&format!("{args} --engine event"));
-    assert_matches_golden("simulate_event_2_4_5.txt", &event);
-    let cycle = cli(&format!("{args} --engine cycle"));
-    assert_eq!(
-        cycle.replace("(HolFifo)", "(HolFifo, event engine)"),
-        event,
-        "engines must emit the same report apart from the tag"
+    assert_matches_golden(
+        "simulate_event_2_4_5.txt",
+        &cli("simulate 2 4 5 --pattern shift:3 --rate 0.9 --cycles 600 --seed 5"),
     );
 }
 
@@ -150,10 +146,7 @@ fn simulate_event_text_is_stable() {
 fn simulate_event_json_is_stable() {
     assert_matches_golden(
         "simulate_event_2_4_5.json",
-        &cli(
-            "simulate 2 4 5 --pattern shift:3 --rate 0.9 --cycles 600 --seed 5 \
-              --engine event --json",
-        ),
+        &cli("simulate 2 4 5 --pattern shift:3 --rate 0.9 --cycles 600 --seed 5 --json"),
     );
 }
 
@@ -165,56 +158,83 @@ fn simulate_event_faulted_text_is_stable() {
         "simulate_event_2_4_5_faulted.txt",
         &cli(
             "simulate 2 4 5 --pattern shift:3 --rate 0.9 --cycles 600 --seed 5 \
-              --engine event --fail-uplinks 2",
+              --fail-uplinks 2",
         ),
     );
 }
 
-/// The faulted run in JSON — and field-for-field agreement with the cycle
-/// engine under the same faults.
+/// The faulted run in JSON.
 #[test]
 fn simulate_event_faulted_json_is_stable() {
-    let args = "simulate 2 4 5 --pattern shift:3 --rate 0.9 --cycles 600 --seed 5 \
-                --fail-uplinks 2 --json";
-    let event = cli(&format!("{args} --engine event"));
-    assert_matches_golden("simulate_event_2_4_5_faulted.json", &event);
-    let cycle = cli(&format!("{args} --engine cycle"));
-    assert_eq!(
-        cycle.replace("\"engine\":\"cycle\"", "\"engine\":\"event\""),
-        event
+    assert_matches_golden(
+        "simulate_event_2_4_5_faulted.json",
+        &cli(
+            "simulate 2 4 5 --pattern shift:3 --rate 0.9 --cycles 600 --seed 5 \
+              --fail-uplinks 2 --json",
+        ),
     );
 }
 
-/// The simulate command's trace: sim counters must conserve packets
-/// (injected = delivered + abandoned + in-flight) in the final state.
-#[test]
-fn simulate_trace_counters_conserve() {
-    let trace = std::env::temp_dir().join("ftclos_golden_sim_trace.json");
-    cli(&format!(
-        "simulate 2 4 5 --pattern shift:3 --rate 0.8 --cycles 400 --trace {}",
-        trace.display()
-    ));
+/// Run `ftclos <args> --trace <tmp>` and parse the written trace.
+fn traced(args: &str, file: &str) -> Json {
+    let trace = std::env::temp_dir().join(file);
+    cli(&format!("{args} --trace {}", trace.display()));
     let text = std::fs::read_to_string(&trace).expect("trace written");
     let _ = std::fs::remove_file(&trace);
-    let doc = Json::parse(&text).expect("trace parses");
-    let counter = |name: &str| {
-        doc.get("counters")
-            .and_then(|c| c.get(name))
-            .and_then(Json::as_u64)
-            .unwrap_or(0)
-    };
+    Json::parse(&text).expect("trace parses")
+}
+
+/// A counter of a parsed trace, 0 when absent.
+fn trace_counter(doc: &Json, name: &str) -> u64 {
+    doc.get("counters")
+        .and_then(|c| c.get(name))
+        .and_then(Json::as_u64)
+        .unwrap_or(0)
+}
+
+/// The simulate command's trace: the kernel's counters must conserve
+/// packets (injected = delivered + abandoned + in-flight) in the final
+/// state.
+#[test]
+fn simulate_trace_counters_conserve() {
+    let doc = traced(
+        "simulate 2 4 5 --pattern shift:3 --rate 0.8 --cycles 400",
+        "ftclos_golden_sim_trace.json",
+    );
     let in_flight = doc
         .get("gauges")
-        .and_then(|g| g.get("sim.in_flight"))
+        .and_then(|g| g.get("evsim.in_flight"))
         .and_then(Json::as_u64)
         .unwrap_or(0);
-    let injected = counter("sim.injected");
-    assert!(injected > 0, "trace recorded injections: {text}");
+    let injected = trace_counter(&doc, "evsim.injected");
+    assert!(injected > 0, "trace recorded injections: {}", doc.write());
     assert_eq!(
         injected,
-        counter("sim.delivered") + counter("sim.abandoned") + in_flight,
-        "conservation over the final flush: {text}"
+        trace_counter(&doc, "evsim.delivered") + trace_counter(&doc, "evsim.abandoned") + in_flight,
+        "conservation over the final flush: {}",
+        doc.write()
     );
+}
+
+/// `simulate` and `churn` run the event-driven schedule: their traces
+/// account its executed cycles, which never exceed the simulated ones.
+#[test]
+fn simulate_and_churn_traces_carry_executed_cycles() {
+    for (args, file) in [
+        (
+            "simulate 2 4 5 --pattern shift:3 --rate 0.8 --cycles 400",
+            "ftclos_golden_sim_exec_trace.json",
+        ),
+        (
+            "churn 2 4 3 --links 1 --mtbf 200 --mttr 60 --cycles 600 --samples 10 --seed 3",
+            "ftclos_golden_churn_exec_trace.json",
+        ),
+    ] {
+        let doc = traced(args, file);
+        let executed = trace_counter(&doc, "evsim.executed_cycles");
+        assert!(executed > 0, "`{args}` trace lacks evsim.executed_cycles");
+        assert!(executed <= trace_counter(&doc, "evsim.cycles"), "`{args}`");
+    }
 }
 
 /// The min-congestion head-to-head, pristine: every baseline row, the

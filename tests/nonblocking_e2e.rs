@@ -9,7 +9,7 @@ use ftclos::core::verify::is_nonblocking_deterministic;
 use ftclos::routing::{
     route_all, DModK, NonblockingAdaptive, PatternRouter, RearrangeableRouter, YuanDeterministic,
 };
-use ftclos::sim::{Policy, SimConfig, Simulator, Workload};
+use ftclos::sim::{EventSimulator, Policy, SimConfig, Workload};
 use ftclos::topo::Ftree;
 use ftclos::traffic::patterns;
 use rand::SeedableRng;
@@ -34,7 +34,7 @@ fn theorem3_pipeline_flow_and_packets_agree() {
         ..SimConfig::default()
     };
     let router = fabric.router();
-    let stats = Simulator::new(
+    let stats = EventSimulator::new(
         fabric.ftree().topology(),
         cfg,
         Policy::from_single_path(&router),
@@ -67,7 +67,7 @@ fn contended_assignment_flow_predicts_packet_loss() {
         measure_cycles: 1_500,
         ..SimConfig::default()
     };
-    let stats = Simulator::new(ft.topology(), cfg, Policy::from_single_path(&router))
+    let stats = EventSimulator::new(ft.topology(), cfg, Policy::from_single_path(&router))
         .run(&Workload::permutation(&perm, 1.0), 9);
     assert!(
         (stats.accepted_throughput() - predicted).abs() < 0.08,
@@ -242,7 +242,7 @@ fn three_level_sim_delivers_line_rate() {
         measure_cycles: 1_200,
         ..SimConfig::default()
     };
-    let stats = Simulator::new(
+    let stats = EventSimulator::new(
         f3.network().topology(),
         cfg,
         Policy::from_single_path(&router),

@@ -203,7 +203,7 @@ proptest! {
         islip in proptest::bool::ANY,
         seed in 0u64..500,
     ) {
-        use ftclos::sim::{Arbiter, Policy, SimConfig, Simulator, Workload};
+        use ftclos::sim::{Arbiter, Policy, SimConfig, EventSimulator, Workload};
         let ft = Ftree::new(n, n * n, r).unwrap();
         let router = YuanDeterministic::new(&ft).unwrap();
         let cfg = SimConfig {
@@ -218,7 +218,7 @@ proptest! {
         // Derangement: self-pairs deliver instantly with zero latency and
         // would dilute the latency lower bound below.
         let perm = patterns::random_derangement((n * r) as u32, &mut rng);
-        let stats = Simulator::new(ft.topology(), cfg, Policy::from_single_path(&router))
+        let stats = EventSimulator::new(ft.topology(), cfg, Policy::from_single_path(&router))
             .run(&Workload::permutation(&perm, rate), seed);
         // Conservation: drain empties the network entirely.
         prop_assert_eq!(stats.leftover_packets, 0);
