@@ -313,3 +313,54 @@ fn campaign_confirm_stall_diagnosis_is_stable() {
         ),
     );
 }
+
+/// Exhaustive certification over links, JSON: the certificate breaks at
+/// k = 2, so it carries a killer object.
+#[test]
+fn campaign_exhaustive_killer_json_is_stable() {
+    assert_matches_golden(
+        "campaign_exhaustive_2_4_5_links.json",
+        &cli("campaign 2 4 5 --mode exhaustive --k 2 --universe links --json"),
+    );
+}
+
+/// The churn head-to-head in JSON: the `churn` array of per-epoch rows.
+#[test]
+fn congestion_churn_json_is_stable() {
+    assert_matches_golden(
+        "congestion_2_4_5_churn.json",
+        &cli("congestion 2 4 5 --churn-links 2 --churn-cycles 800 --seed 5 --json"),
+    );
+}
+
+/// The deadlock sweep under churn in JSON: a non-empty `churn_epochs` list.
+#[test]
+fn deadlock_churn_json_is_stable() {
+    assert_matches_golden(
+        "deadlock_2_4_5_churn.json",
+        &cli("deadlock 2 4 5 --churn-links 2 --churn-cycles 800 --seed 5 --json"),
+    );
+}
+
+/// The `--confirm` stall diagnosis in JSON: the `confirm` block with its
+/// strands.
+#[test]
+fn campaign_confirm_stall_diagnosis_json_is_stable() {
+    assert_matches_golden(
+        "campaign_confirm_valley.json",
+        &cli(
+            "campaign 1 1 4 --property deadlock --router valley --waves 1 --wave-size 2 \
+             --links 1 --switches 0 --confirm --json",
+        ),
+    );
+}
+
+/// Every top switch dead: each pattern's report is replaced by an `error`
+/// entry.
+#[test]
+fn flowsim_all_tops_dead_json_is_stable() {
+    assert_matches_golden(
+        "flowsim_2_4_5_failtop4.json",
+        &cli("flowsim 2 4 5 --fail-tops 4 --json"),
+    );
+}
