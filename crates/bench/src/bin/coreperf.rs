@@ -56,7 +56,7 @@
 //! then on a faulted fabric (one dead top switch) it must *strictly* beat
 //! fault-aware d-mod-k, all inside a wall-clock budget.
 //!
-//! Results land in `BENCH_core.json` (hand-rolled JSON, stable key order)
+//! Results land in `BENCH_core.json` (one key per line, stable key order)
 //! next to the working directory for CI artifact upload. Exits nonzero when
 //! any claim — including the ≥10× speedup — fails.
 
@@ -69,6 +69,7 @@ use ftclos_core::{
     ContentionScratch, FaultElement, ValleyRouter,
 };
 use ftclos_flowsim::standard_suite;
+use ftclos_obs::json::{Json, Obj};
 use ftclos_obs::Registry;
 use ftclos_routing::{
     route_all, CongestionConfig, DModK, FaultAware, FtreeCandidates, MinCongestion,
@@ -163,14 +164,6 @@ fn time_best<T>(reps: usize, mut f: impl FnMut() -> T) -> (f64, T) {
         }
     }
     (best, out)
-}
-
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v:.6}")
-    } else {
-        "null".to_string()
-    }
 }
 
 /// Peak resident set of this process (`VmHWM`) in MiB, from
@@ -800,144 +793,157 @@ fn run() -> Result<bool, BenchError> {
         "head-to-head sweep stays under the 60 s budget",
     );
 
-    // Machine-readable record for CI (hand-rolled: no serde_json in-tree).
-    let json = format!(
-        "{{\n  \"experiment\": \"E20\",\n  \"fabric\": \"ftree({n}+{m}, {r})\",\n  \
-         \"ports\": {ports},\n  \"legacy_two_pair_sweep_ms\": {lts},\n  \
-         \"engine_two_pair_sweep_ms\": {ets},\n  \"speedup\": {sp},\n  \
-         \"legacy_audits_per_sec\": {la},\n  \"engine_audits_per_sec\": {ea},\n  \
-         \"legacy_patterns_per_sec\": {lp},\n  \"engine_patterns_per_sec\": {ep},\n  \
-         \"plain_build_audit_ms\": {pb},\n  \"recorded_build_audit_ms\": {rb},\n  \
-         \"record_overhead_pct\": {op},\n  \"arena_bytes\": {ab},\n  \
-         \"smoke_blocking_agree\": {sb},\n  \
-         \"smoke_nonblocking_agree\": {sn},\n  \
-         \"e22_cdg_fabric\": \"ftree({bn}+{bm}, {br})\",\n  \
-         \"e22_yuan_cdg_deps\": {yd},\n  \
-         \"e22_yuan_cdg_build_check_s\": {ys},\n  \
-         \"e22_dmodk_cdg_deps\": {dd},\n  \
-         \"e22_dmodk_cdg_build_check_s\": {ds},\n  \
-         \"e22_deadlock_free\": {ef},\n  \
-         \"e22_valley_witness_len\": {vw},\n  \
-         \"e23_certified\": {cc},\n  \
-         \"e23_certify_sets\": {cs},\n  \
-         \"e23_certify_s\": {ct},\n  \
-         \"e23_sets_evaluated\": {se},\n  \
-         \"e23_killers\": {kl},\n  \
-         \"e23_minimal_killers\": {mk},\n  \
-         \"e23_shrink_ok\": {so},\n  \
-         \"e23_campaign_s\": {cg},\n  \
-         \"e24_hosts\": {e24h},\n  \
-         \"e24_cycles\": {e24c},\n  \
-         \"e24_stats_agree\": {e24a},\n  \
-         \"e24_cycle_engine_s\": {e24cs},\n  \
-         \"e24_event_engine_s\": {e24es},\n  \
-         \"e24_cycle_host_cycles_per_sec\": {e24ch},\n  \
-         \"e24_event_host_cycles_per_sec\": {e24eh},\n  \
-         \"e24_speedup\": {e24sp},\n  \
-         \"e24_recursive_hosts\": {e24rh},\n  \
-         \"e24_recursive_topo_bytes\": {e24tb},\n  \
-         \"e24_recursive_touched_channels\": {e24tc},\n  \
-         \"e24_recursive_build_s\": {e24rb},\n  \
-         \"e24_recursive_route_s\": {e24rr},\n  \
-         \"e24_recursive_run_s\": {e24rs},\n  \
-         \"e24_recursive_host_cycles_per_sec\": {e24rc},\n  \
-         \"e25_hosts\": {e25h},\n  \
-         \"e25_channels\": {e25ch},\n  \
-         \"e25_topo_bytes\": {e25tb},\n  \
-         \"e25_build_s\": {e25bs},\n  \
-         \"e25_route_s\": {e25rs},\n  \
-         \"e25_run_s\": {e25ns},\n  \
-         \"e25_touched_channels\": {e25tc},\n  \
-         \"e25_state_bytes\": {e25sb},\n  \
-         \"e25_million_hosts\": {e25mh},\n  \
-         \"e25_million_channels\": {e25mc},\n  \
-         \"e25_million_build_s\": {e25mb},\n  \
-         \"e25_million_route_s\": {e25mr},\n  \
-         \"e25_million_run_s\": {e25mn},\n  \
-         \"e25_million_touched_channels\": {e25mt},\n  \
-         \"e25_peak_rss_mib\": {e25pr},\n  \
-         \"e26_patterns\": {e26p},\n  \
-         \"e26_pristine_ok\": {e26ok},\n  \
-         \"e26_meter_agrees\": {e26ma},\n  \
-         \"e26_repaired_worst_max_load\": {e26rw},\n  \
-         \"e26_moves_total\": {e26mv},\n  \
-         \"e26_rounds_total\": {e26rd},\n  \
-         \"e26_faulted_dmodk_max_load\": {e26fd},\n  \
-         \"e26_faulted_repaired_max_load\": {e26fr},\n  \
-         \"e26_faulted_strict_win\": {e26fs},\n  \
-         \"e26_s\": {e26t},\n  \"pass\": {pass}\n}}\n",
-        ports = n * r,
-        lts = json_f64(legacy_sweep_s * 1e3),
-        ets = json_f64(engine_sweep_s * 1e3),
-        sp = json_f64(speedup),
-        la = json_f64(legacy_audits_per_sec),
-        ea = json_f64(engine_audits_per_sec),
-        lp = json_f64(legacy_patterns_per_sec),
-        ep = json_f64(engine_patterns_per_sec),
-        pb = json_f64(plain_build_s * 1e3),
-        rb = json_f64(recorded_build_s * 1e3),
-        op = json_f64(overhead_pct),
-        ab = arena_bytes,
-        sb = blocking_agree,
-        sn = clean_agree,
-        yd = yuan_analysis.num_deps,
-        ys = json_f64(yuan_cdg_s),
-        dd = dmodk_analysis.num_deps,
-        ds = json_f64(dmodk_cdg_s),
-        ef = yuan_analysis.is_free() && dmodk_analysis.is_free(),
-        vw = valley_witness_len,
-        cc = cert.certified(),
-        cs = cert.sets_total,
-        ct = json_f64(e23_certify_s),
-        se = report.sets_evaluated,
-        kl = report.killers.len(),
-        mk = crit.minimal_killers,
-        so = e23_shrink_ok,
-        cg = json_f64(e23_campaign_s),
-        e24h = e24_hosts,
-        e24c = e24_cycles,
-        e24a = e24_agree,
-        e24cs = json_f64(e24_cycle_s),
-        e24es = json_f64(e24_event_s),
-        e24ch = json_f64(e24_cycle_hcs),
-        e24eh = json_f64(e24_event_hcs),
-        e24sp = json_f64(e24_speedup),
-        e24rh = r_hosts,
-        e24tb = e24_topo_bytes,
-        e24tc = e24_touched,
-        e24rb = json_f64(e24_build_s),
-        e24rr = json_f64(e24_route_s),
-        e24rs = json_f64(e24_run_s),
-        e24rc = json_f64(e24_recursive_hcs),
-        e25h = e25_hosts,
-        e25ch = e25_channels,
-        e25tb = e25_topo_bytes,
-        e25bs = json_f64(e25_build_s),
-        e25rs = json_f64(e25_route_s),
-        e25ns = json_f64(e25_run_s),
-        e25tc = e25_touched,
-        e25sb = e25_state_bytes,
-        e25mh = m_hosts,
-        e25mc = m_channels,
-        e25mb = json_f64(e25m_build_s),
-        e25mr = json_f64(e25m_route_s),
-        e25mn = json_f64(e25m_run_s),
-        e25mt = m_touched,
-        e25pr = e25_peak_rss.map_or_else(|| "null".to_string(), |v| v.to_string()),
-        e26p = e26_suite.len(),
-        e26ok = e26_pristine_ok,
-        e26ma = e26_meter_agrees,
-        e26rw = e26_repaired_worst,
-        e26mv = e26_moves_total,
-        e26rd = e26_rounds_total,
-        e26fd = e26_dmodk_faulted.map_or_else(|| "null".to_string(), |v| v.to_string()),
-        e26fr = e26_repaired_faulted,
-        e26fs = e26_faulted_strict,
-        e26t = json_f64(e26_s),
-        pass = all_ok,
-    );
+    // Machine-readable record for CI: one key per line, stable key order.
+    let json = Obj::new()
+        .field("experiment", "E20")
+        .field("fabric", format!("ftree({n}+{m}, {r})"))
+        .field("ports", n * r)
+        .field(
+            "legacy_two_pair_sweep_ms",
+            Json::Fixed(legacy_sweep_s * 1e3, 6),
+        )
+        .field(
+            "engine_two_pair_sweep_ms",
+            Json::Fixed(engine_sweep_s * 1e3, 6),
+        )
+        .field("speedup", Json::Fixed(speedup, 6))
+        .field(
+            "legacy_audits_per_sec",
+            Json::Fixed(legacy_audits_per_sec, 6),
+        )
+        .field(
+            "engine_audits_per_sec",
+            Json::Fixed(engine_audits_per_sec, 6),
+        )
+        .field(
+            "legacy_patterns_per_sec",
+            Json::Fixed(legacy_patterns_per_sec, 6),
+        )
+        .field(
+            "engine_patterns_per_sec",
+            Json::Fixed(engine_patterns_per_sec, 6),
+        )
+        .field("plain_build_audit_ms", Json::Fixed(plain_build_s * 1e3, 6))
+        .field(
+            "recorded_build_audit_ms",
+            Json::Fixed(recorded_build_s * 1e3, 6),
+        )
+        .field("record_overhead_pct", Json::Fixed(overhead_pct, 6))
+        .field("arena_bytes", arena_bytes)
+        .field("smoke_blocking_agree", blocking_agree)
+        .field("smoke_nonblocking_agree", clean_agree)
+        .field("e22_cdg_fabric", format!("ftree({bn}+{bm}, {br})"))
+        .field("e22_yuan_cdg_deps", yuan_analysis.num_deps)
+        .field("e22_yuan_cdg_build_check_s", Json::Fixed(yuan_cdg_s, 6))
+        .field("e22_dmodk_cdg_deps", dmodk_analysis.num_deps)
+        .field("e22_dmodk_cdg_build_check_s", Json::Fixed(dmodk_cdg_s, 6))
+        .field(
+            "e22_deadlock_free",
+            yuan_analysis.is_free() && dmodk_analysis.is_free(),
+        )
+        .field("e22_valley_witness_len", valley_witness_len)
+        .field("e23_certified", cert.certified())
+        .field("e23_certify_sets", cert.sets_total)
+        .field("e23_certify_s", Json::Fixed(e23_certify_s, 6))
+        .field("e23_sets_evaluated", report.sets_evaluated)
+        .field("e23_killers", report.killers.len())
+        .field("e23_minimal_killers", crit.minimal_killers)
+        .field("e23_shrink_ok", e23_shrink_ok)
+        .field("e23_campaign_s", Json::Fixed(e23_campaign_s, 6))
+        .field("e24_hosts", e24_hosts)
+        .field("e24_cycles", e24_cycles)
+        .field("e24_stats_agree", e24_agree)
+        .field("e24_cycle_engine_s", Json::Fixed(e24_cycle_s, 6))
+        .field("e24_event_engine_s", Json::Fixed(e24_event_s, 6))
+        .field(
+            "e24_cycle_host_cycles_per_sec",
+            Json::Fixed(e24_cycle_hcs, 6),
+        )
+        .field(
+            "e24_event_host_cycles_per_sec",
+            Json::Fixed(e24_event_hcs, 6),
+        )
+        .field("e24_speedup", Json::Fixed(e24_speedup, 6))
+        .field("e24_recursive_hosts", r_hosts)
+        .field("e24_recursive_topo_bytes", e24_topo_bytes)
+        .field("e24_recursive_touched_channels", e24_touched)
+        .field("e24_recursive_build_s", Json::Fixed(e24_build_s, 6))
+        .field("e24_recursive_route_s", Json::Fixed(e24_route_s, 6))
+        .field("e24_recursive_run_s", Json::Fixed(e24_run_s, 6))
+        .field(
+            "e24_recursive_host_cycles_per_sec",
+            Json::Fixed(e24_recursive_hcs, 6),
+        )
+        .field("e25_hosts", e25_hosts)
+        .field("e25_channels", e25_channels)
+        .field("e25_topo_bytes", e25_topo_bytes)
+        .field("e25_build_s", Json::Fixed(e25_build_s, 6))
+        .field("e25_route_s", Json::Fixed(e25_route_s, 6))
+        .field("e25_run_s", Json::Fixed(e25_run_s, 6))
+        .field("e25_touched_channels", e25_touched)
+        .field("e25_state_bytes", e25_state_bytes)
+        .field("e25_million_hosts", m_hosts)
+        .field("e25_million_channels", m_channels)
+        .field("e25_million_build_s", Json::Fixed(e25m_build_s, 6))
+        .field("e25_million_route_s", Json::Fixed(e25m_route_s, 6))
+        .field("e25_million_run_s", Json::Fixed(e25m_run_s, 6))
+        .field("e25_million_touched_channels", m_touched)
+        .field("e25_peak_rss_mib", e25_peak_rss)
+        .field("e26_patterns", e26_suite.len())
+        .field("e26_pristine_ok", e26_pristine_ok)
+        .field("e26_meter_agrees", e26_meter_agrees)
+        .field("e26_repaired_worst_max_load", e26_repaired_worst)
+        .field("e26_moves_total", e26_moves_total)
+        .field("e26_rounds_total", e26_rounds_total)
+        .field("e26_faulted_dmodk_max_load", e26_dmodk_faulted)
+        .field("e26_faulted_repaired_max_load", e26_repaired_faulted)
+        .field("e26_faulted_strict_win", e26_faulted_strict)
+        .field("e26_s", Json::Fixed(e26_s, 6))
+        .field("pass", all_ok)
+        .build()
+        .write_pretty();
     std::fs::write("BENCH_core.json", &json)?;
     result_line("written", "BENCH_core.json");
 
     Ok(all_ok)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `BENCH_core.json`'s layout and number forms on fixed values: one key
+    /// per line in insertion order, six-decimal floats, exact integers, and
+    /// `null` for a missing or non-finite reading.
+    #[test]
+    fn bench_record_layout_is_pinned() {
+        let record = Obj::new()
+            .field("experiment", "E20")
+            .field("fabric", format!("ftree({}+{}, {})", 4, 16, 9))
+            .field("ports", 36u32)
+            .field("legacy_two_pair_sweep_ms", Json::Fixed(396.68658, 6))
+            .field("speedup", Json::Fixed(f64::NAN, 6))
+            .field("e22_yuan_cdg_deps", 100_310_000usize)
+            .field("e23_certify_sets", 32_897u128)
+            .field("e25_peak_rss_mib", None::<u64>)
+            .field("e26_faulted_dmodk_max_load", Some(3u32))
+            .field("pass", false)
+            .build();
+        assert_eq!(
+            record.write_pretty(),
+            r#"{
+  "experiment": "E20",
+  "fabric": "ftree(4+16, 9)",
+  "ports": 36,
+  "legacy_two_pair_sweep_ms": 396.686580,
+  "speedup": null,
+  "e22_yuan_cdg_deps": 100310000,
+  "e23_certify_sets": 32897,
+  "e25_peak_rss_mib": null,
+  "e26_faulted_dmodk_max_load": 3,
+  "pass": false
+}
+"#
+        );
+    }
 }

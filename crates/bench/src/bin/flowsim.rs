@@ -18,6 +18,7 @@
 
 use ftclos_bench::{banner, result_line, verdict, SEED};
 use ftclos_flowsim::{check_fabric, solve_pattern, FluidReport};
+use ftclos_obs::json::{Json, Obj};
 use ftclos_routing::{
     DModK, GreedyLocalAdaptive, LinkLoadView, NonblockingAdaptive, ObliviousMultipath,
     RearrangeableRouter, SModK, SpreadPolicy, YuanDeterministic,
@@ -183,7 +184,7 @@ fn main() {
         patterns::random_full(big.num_leaves() as u32, &mut rng)
     };
 
-    let mut guard_entries: Vec<String> = Vec::new();
+    let mut guard_entries: Vec<Json> = Vec::new();
     let mut timed = |label: &str, report: Result<FluidReport, String>, ms: f64| -> bool {
         match report {
             Ok(rep) => {
@@ -194,10 +195,13 @@ fn main() {
                         rep.num_flows, rep.num_link_entries, rep.mean_rate
                     ),
                 );
-                guard_entries.push(format!(
-                    "{{\"router\":\"{label}\",\"wall_ms\":{ms:.3},\"report\":{}}}",
-                    rep.to_json()
-                ));
+                guard_entries.push(
+                    Obj::new()
+                        .field("router", label)
+                        .field("wall_ms", Json::Fixed(ms, 3))
+                        .field("report", rep.to_json())
+                        .build(),
+                );
                 ms < 60_000.0
             }
             Err(e) => {
@@ -230,12 +234,16 @@ fn main() {
         eprintln!("cannot create {}: {e}", out_dir.display());
         std::process::exit(1);
     }
-    let guard = format!(
-        "{{\"experiment\":\"E19\",\"config\":\"ftree(16+256,625)\",\"hosts\":{},\"channels\":{},\"budget_ms\":60000,\"solves\":[{}]}}\n",
-        big.num_leaves(),
-        big.topology().num_channels(),
-        guard_entries.join(",")
-    );
+    let guard = Obj::new()
+        .field("experiment", "E19")
+        .field("config", "ftree(16+256,625)")
+        .field("hosts", big.num_leaves())
+        .field("channels", big.topology().num_channels())
+        .field("budget_ms", 60_000)
+        .field("solves", Json::Arr(guard_entries))
+        .build()
+        .write()
+        + "\n";
     let guard_path = out_dir.join("e19_guard.json");
     if let Err(e) = std::fs::write(&guard_path, &guard) {
         eprintln!("cannot write {}: {e}", guard_path.display());

@@ -28,7 +28,7 @@
 //! The final report never mentions checkpointing, so an interrupted-and-
 //! resumed campaign is byte-identical to an uninterrupted one.
 
-use super::common::build_ftree;
+use super::common::{build_ftree, fabric_json};
 use super::deadlock::witness_routes;
 use crate::opts::{CliError, Opts};
 use ftclos_core::campaign::DeadlockFreedom;
@@ -38,6 +38,7 @@ use ftclos_core::campaign::{
     CampaignReport, Certificate, FaultElement, FaultVector, NonblockingMargin,
 };
 use ftclos_core::cdg::{cdg_of_masked_router_with, ValleyRouter};
+use ftclos_obs::json::{Json, Obj};
 use ftclos_obs::{Recorder as _, Registry};
 use ftclos_routing::{DModK, SModK, SinglePathRouter, YuanDeterministic};
 use ftclos_sim::{run_pinned_injection, SimError, StallReport};
@@ -369,30 +370,25 @@ fn certificate_text(ft: &Ftree, cert: &Certificate) -> String {
 }
 
 fn certificate_json(ft: &Ftree, cert: &Certificate) -> String {
-    let killer = match &cert.killer {
-        None => "null".to_string(),
-        Some(k) => format!(
-            "{{\"faults\":\"{}\",\"size\":{},\"detail\":\"{}\"}}",
-            k.faults,
-            k.faults.len(),
-            escape(&k.detail)
-        ),
-    };
-    format!(
-        "{{\"fabric\":{{\"n\":{},\"m\":{},\"r\":{}}},\"property\":\"{}\",\
-         \"mode\":\"exhaustive\",\"k\":{},\"universe_size\":{},\"sets_total\":{},\
-         \"certified\":{},\"tolerant_up_to\":{},\"killer\":{}}}",
-        ft.n(),
-        ft.m(),
-        ft.r(),
-        cert.property,
-        cert.k,
-        cert.universe_size,
-        cert.sets_total,
-        cert.certified(),
-        cert.tolerant_up_to,
-        killer
-    )
+    let killer = cert.killer.as_ref().map(|k| {
+        Obj::new()
+            .field("faults", k.faults.to_string())
+            .field("size", k.faults.len())
+            .field("detail", &k.detail)
+            .build()
+    });
+    Obj::new()
+        .field("fabric", fabric_json(ft))
+        .field("property", cert.property.to_string())
+        .field("mode", "exhaustive")
+        .field("k", cert.k)
+        .field("universe_size", cert.universe_size)
+        .field("sets_total", cert.sets_total)
+        .field("certified", cert.certified())
+        .field("tolerant_up_to", cert.tolerant_up_to)
+        .field("killer", killer)
+        .build()
+        .write()
 }
 
 /// Killers listed in full up to this many lines; the rest is summarized.
@@ -522,110 +518,94 @@ fn report_json(
     confirmation: Option<&Confirmation>,
 ) -> String {
     let cfg = &report.config;
-    let killers: Vec<String> = report
+    let killers: Json = report
         .killers
         .iter()
         .map(|k| {
-            let minimal = match &k.minimal {
-                Some(fv) => format!("\"{fv}\""),
-                None => "null".to_string(),
-            };
-            format!(
-                "{{\"wave\":{},\"index\":{},\"faults\":\"{}\",\"detail\":\"{}\",\
-                 \"minimal\":{},\"shrink_evals\":{}}}",
-                k.wave,
-                k.index,
-                k.faults,
-                escape(&k.detail),
-                minimal,
-                k.shrink_evals
-            )
+            Obj::new()
+                .field("wave", k.wave)
+                .field("index", k.index)
+                .field("faults", k.faults.to_string())
+                .field("detail", &k.detail)
+                .field("minimal", k.minimal.as_ref().map(|fv| fv.to_string()))
+                .field("shrink_evals", k.shrink_evals)
+                .build()
         })
         .collect();
     let crit = report.criticality();
-    let crit_links: Vec<String> = crit
-        .links
-        .iter()
-        .map(|(c, n)| format!("{{\"link\":{},\"count\":{n}}}", c.0))
-        .collect();
-    let crit_switches: Vec<String> = crit
-        .switches
-        .iter()
-        .map(|(s, n)| format!("{{\"switch\":{},\"count\":{n}}}", s.0))
-        .collect();
-    let confirm_json = match confirmation {
-        None => "null".to_string(),
-        Some(c) => {
-            let outcome = match &c.outcome {
-                Ok(stall) => {
-                    let cycle: Vec<String> =
-                        stall.wait_cycle.iter().map(|c| c.0.to_string()).collect();
-                    let strands: Vec<String> = stall
-                        .strands
-                        .iter()
-                        .map(|s| {
-                            format!(
-                                "{{\"src\":{},\"dst\":{},\"holds\":{},\"waits_for\":{},\
-                                 \"queued\":{}}}",
-                                s.src,
-                                s.dst,
-                                match s.holds {
-                                    Some(c) => c.0.to_string(),
-                                    None => "null".to_string(),
-                                },
-                                s.waits_for.0,
-                                s.queued
-                            )
-                        })
-                        .collect();
-                    format!(
-                        "{{\"stalled\":true,\"cycle\":{},\"in_flight\":{},\
-                         \"stranded_packets\":{},\"wait_cycle\":[{}],\"strands\":[{}]}}",
-                        stall.cycle,
-                        stall.in_flight,
-                        stall.stranded_packets(),
-                        cycle.join(","),
-                        strands.join(",")
+    let confirm = confirmation.map(|c| {
+        let outcome = match &c.outcome {
+            Ok(stall) => {
+                let strands: Json = stall
+                    .strands
+                    .iter()
+                    .map(|s| {
+                        Obj::new()
+                            .field("src", s.src)
+                            .field("dst", s.dst)
+                            .field("holds", s.holds.map(|c| c.0))
+                            .field("waits_for", s.waits_for.0)
+                            .field("queued", s.queued)
+                            .build()
+                    })
+                    .collect();
+                Obj::new()
+                    .field("stalled", true)
+                    .field("cycle", stall.cycle)
+                    .field("in_flight", stall.in_flight)
+                    .field("stranded_packets", stall.stranded_packets())
+                    .field(
+                        "wait_cycle",
+                        stall.wait_cycle.iter().map(|c| c.0).collect::<Json>(),
                     )
-                }
-                Err(msg) => format!("{{\"stalled\":false,\"reason\":\"{}\"}}", escape(msg)),
-            };
-            format!(
-                "{{\"target\":\"{}\",\"witness_len\":{},\"routes\":{},\"outcome\":{}}}",
-                c.target, c.witness_len, c.routes, outcome
-            )
-        }
-    };
-    format!(
-        "{{\"fabric\":{{\"n\":{},\"m\":{},\"r\":{}}},\"property\":\"{}\",\"mode\":\"random\",\
-         \"baseline_holds\":{},\"baseline_detail\":\"{}\",\"seed\":{},\"waves\":{},\
-         \"wave_size\":{},\"links_per_set\":{},\"switches_per_set\":{},\"shrink\":{},\
-         \"sets_evaluated\":{},\"killers\":[{}],\"criticality\":{{\"minimal_killers\":{},\
-         \"links\":[{}],\"switches\":[{}]}},\"confirm\":{}}}",
-        ft.n(),
-        ft.m(),
-        ft.r(),
-        report.property,
-        baseline.holds,
-        escape(&baseline.detail),
-        cfg.seed,
-        report.waves_done,
-        cfg.wave_size,
-        cfg.links_per_set,
-        cfg.switches_per_set,
-        cfg.shrink,
-        report.sets_evaluated,
-        killers.join(","),
-        crit.minimal_killers,
-        crit_links.join(","),
-        crit_switches.join(","),
-        confirm_json
-    )
-}
-
-/// Escape a detail string for embedding in hand-rolled JSON.
-fn escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
+                    .field("strands", strands)
+            }
+            Err(msg) => Obj::new().field("stalled", false).field("reason", msg),
+        };
+        Obj::new()
+            .field("target", c.target.to_string())
+            .field("witness_len", c.witness_len)
+            .field("routes", c.routes)
+            .field("outcome", outcome.build())
+            .build()
+    });
+    Obj::new()
+        .field("fabric", fabric_json(ft))
+        .field("property", report.property.to_string())
+        .field("mode", "random")
+        .field("baseline_holds", baseline.holds)
+        .field("baseline_detail", &baseline.detail)
+        .field("seed", cfg.seed)
+        .field("waves", report.waves_done)
+        .field("wave_size", cfg.wave_size)
+        .field("links_per_set", cfg.links_per_set)
+        .field("switches_per_set", cfg.switches_per_set)
+        .field("shrink", cfg.shrink)
+        .field("sets_evaluated", report.sets_evaluated)
+        .field("killers", killers)
+        .field(
+            "criticality",
+            Obj::new()
+                .field("minimal_killers", crit.minimal_killers)
+                .field(
+                    "links",
+                    crit.links
+                        .iter()
+                        .map(|(c, n)| Obj::new().field("link", c.0).field("count", *n).build())
+                        .collect::<Json>(),
+                )
+                .field(
+                    "switches",
+                    crit.switches
+                        .iter()
+                        .map(|(s, n)| Obj::new().field("switch", s.0).field("count", *n).build())
+                        .collect::<Json>(),
+                )
+                .build(),
+        )
+        .field("confirm", confirm)
+        .build()
+        .write()
 }
 
 #[cfg(test)]

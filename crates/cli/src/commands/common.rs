@@ -1,6 +1,7 @@
 //! Shared helpers: fabric construction, pattern parsing, named routers.
 
 use crate::opts::{CliError, Opts};
+use ftclos_obs::json::{Json, Obj};
 use ftclos_routing::{
     route_all, DModK, GreedyLocalAdaptive, NonblockingAdaptive, PatternRouter, RearrangeableRouter,
     RouteAssignment, SModK, YuanDeterministic,
@@ -13,6 +14,16 @@ use rand::SeedableRng;
 pub fn build_ftree(opts: &Opts) -> Result<Ftree, CliError> {
     let (n, m, r) = opts.nmr()?;
     Ftree::new(n, m, r).map_err(|e| CliError::Failed(format!("cannot build ftree: {e}")))
+}
+
+/// `{"n":…,"m":…,"r":…}` — the fabric parameters the deadlock and
+/// campaign reports lead with.
+pub fn fabric_json(ft: &Ftree) -> Json {
+    Obj::new()
+        .field("n", ft.n())
+        .field("m", ft.m())
+        .field("r", ft.r())
+        .build()
 }
 
 /// Read `--rate`, an injection probability per source per cycle: values

@@ -22,6 +22,7 @@ use ftclos_core::cdg::unique_churn_fault_sets;
 use ftclos_core::churn::ChurnEvent;
 use ftclos_core::ContentionScratch;
 use ftclos_flowsim::{solve_pattern_with, standard_suite};
+use ftclos_obs::json::{Json, Obj};
 use ftclos_obs::Registry;
 use ftclos_routing::{
     route_all, CongestionConfig, CongestionMode, DModK, FaultAware, FtreeCandidates, LinkLoadView,
@@ -546,103 +547,61 @@ fn render_json(
     churn_pattern: &str,
     churn: &[(usize, Row, Row)],
 ) -> String {
-    let mut out = String::new();
-    let _ = write!(
-        out,
-        "{{\"command\":\"congestion\",\"n\":{},\"m\":{},\"r\":{},\"hosts\":{},\
-         \"mode\":{},\"seed\":{seed},\"faulted\":{faulted},\"dead_channels\":{dead_channels},\
-         \"patterns\":[",
-        ft.n(),
-        ft.m(),
-        ft.r(),
-        ft.num_leaves(),
-        json_string(config.mode.name()),
-    );
-    for (i, (pname, flows, rows)) in tables.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"pattern\":{},\"flows\":{flows},\"congestion_ok\":{},\"rows\":[",
-            json_string(pname),
-            table_verdict(rows)
-        );
-        for (j, row) in rows.iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            out.push_str(&row_json(row));
-        }
-        out.push_str("]}");
-    }
-    out.push(']');
+    let patterns: Json = tables
+        .iter()
+        .map(|(pname, flows, rows)| {
+            Obj::new()
+                .field("pattern", pname)
+                .field("flows", *flows)
+                .field("congestion_ok", table_verdict(rows))
+                .field("rows", rows.iter().map(row_json).collect::<Json>())
+                .build()
+        })
+        .collect();
+    let mut doc = Obj::new()
+        .field("command", "congestion")
+        .field("n", ft.n())
+        .field("m", ft.m())
+        .field("r", ft.r())
+        .field("hosts", ft.num_leaves())
+        .field("mode", config.mode.name())
+        .field("seed", seed)
+        .field("faulted", faulted)
+        .field("dead_channels", dead_channels)
+        .field("patterns", patterns);
     if !churn.is_empty() {
-        let _ = write!(
-            out,
-            ",\"churn_pattern\":{},\"churn\":[",
-            json_string(churn_pattern)
-        );
-        for (i, (dead, cong, dmodk)) in churn.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"epoch\":{i},\"dead_channels\":{dead},\"congestion\":{},\"dmodk\":{}}}",
-                row_json(cong),
-                row_json(dmodk)
-            );
-        }
-        out.push(']');
+        let epochs: Json = churn
+            .iter()
+            .enumerate()
+            .map(|(i, (dead, cong, dmodk))| {
+                Obj::new()
+                    .field("epoch", i)
+                    .field("dead_channels", *dead)
+                    .field("congestion", row_json(cong))
+                    .field("dmodk", row_json(dmodk))
+                    .build()
+            })
+            .collect();
+        doc = doc
+            .field("churn_pattern", churn_pattern)
+            .field("churn", epochs);
     }
-    out.push('}');
-    out
+    doc.build().write()
 }
 
-fn row_json(row: &Row) -> String {
-    let mut out = format!("{{\"router\":{}", json_string(&row.router));
+/// One router's row; an unroutable router carries only its `error`.
+fn row_json(row: &Row) -> Json {
+    let obj = Obj::new().field("router", &row.router);
     if let Some(e) = &row.err {
-        let _ = write!(out, ",\"error\":{}", json_string(e));
-        out.push('}');
-        return out;
+        return obj.field("error", e).build();
     }
-    if let Some(m) = row.max_load {
-        let _ = write!(out, ",\"max_load\":{m}");
-    }
-    if let Some(x) = row.expected {
-        let _ = write!(out, ",\"expected_max_load\":{x:.6}");
-    }
-    if let Some(w) = row.witness {
-        let _ = write!(out, ",\"witness_channel\":{}", w.index());
-    }
-    if let Some(r) = row.worst_rate {
-        let _ = write!(out, ",\"worst_rate\":{r:.6}");
-    }
-    if let Some((m, r)) = row.moves_rounds {
-        let _ = write!(out, ",\"moves\":{m},\"rounds\":{r}");
-    }
-    out.push('}');
-    out
-}
-
-/// Minimal JSON string escaping.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+    obj.field_opt("max_load", row.max_load)
+        .field_opt("expected_max_load", row.expected.map(|x| Json::Fixed(x, 6)))
+        .field_opt("witness_channel", row.witness.map(|w| w.index()))
+        .field_opt("worst_rate", row.worst_rate.map(|r| Json::Fixed(r, 6)))
+        .field_opt("moves", row.moves_rounds.map(|(m, _)| m))
+        .field_opt("rounds", row.moves_rounds.map(|(_, r)| r))
+        .build()
 }
 
 #[cfg(test)]

@@ -19,7 +19,7 @@
 //! holds. A control run over the same pairs with up*/down* `dmodk` routes
 //! drains clean, isolating the cycle as the cause.
 
-use super::common::build_ftree;
+use super::common::{build_ftree, fabric_json};
 use crate::opts::{CliError, Opts};
 use ftclos_core::cdg::{
     cdg_of_masked_router_with, cdg_of_multipath_with, cdg_of_router_with, deadlock_sweep_with,
@@ -27,6 +27,7 @@ use ftclos_core::cdg::{
 };
 use ftclos_core::churn::ChurnEvent;
 use ftclos_core::{attribute_witness, CycleAnalysis, DeadlockVerdict, SweepEntry, ValleyRouter};
+use ftclos_obs::json::{Json, Obj};
 use ftclos_obs::{Recorder as _, Registry};
 use ftclos_routing::{DModK, SModK, SinglePathRouter, YuanDeterministic};
 use ftclos_sim::{run_pinned_injection, PinnedRoute, WitnessRun};
@@ -459,68 +460,59 @@ fn render_json(
     churn_epochs: &[(usize, Vec<SweepEntry>)],
     injection: Option<&(&'static str, WitnessRun, WitnessRun)>,
 ) -> String {
-    let entry_json = |e: &SweepEntry| {
-        let witness = match &e.analysis.verdict {
-            DeadlockVerdict::Free => String::from("[]"),
-            DeadlockVerdict::Cyclic { witness } => {
-                let ids: Vec<String> = witness.iter().map(|c| c.index().to_string()).collect();
-                format!("[{}]", ids.join(","))
-            }
-        };
-        format!(
-            "{{\"router\":\"{}\",\"free\":{},\"num_deps\":{},\"valley_turns\":{},\
-             \"cyclic_channels\":{},\"witness\":{}}}",
-            e.router,
-            e.analysis.is_free(),
-            e.analysis.num_deps,
-            e.analysis.valley_turns,
-            e.analysis.cyclic_channels,
-            witness
-        )
+    let entries_json = |entries: &[SweepEntry]| -> Json {
+        entries
+            .iter()
+            .map(|e| {
+                let witness: Json = match &e.analysis.verdict {
+                    DeadlockVerdict::Free => Json::Arr(Vec::new()),
+                    DeadlockVerdict::Cyclic { witness } => {
+                        witness.iter().map(|c| c.index()).collect()
+                    }
+                };
+                Obj::new()
+                    .field("router", e.router)
+                    .field("free", e.analysis.is_free())
+                    .field("num_deps", e.analysis.num_deps)
+                    .field("valley_turns", e.analysis.valley_turns)
+                    .field("cyclic_channels", e.analysis.cyclic_channels)
+                    .field("witness", witness)
+                    .build()
+            })
+            .collect()
     };
-    let entries_json: Vec<String> = entries.iter().map(entry_json).collect();
-    let churn_json: Vec<String> = churn_epochs
+    let churn_json: Json = churn_epochs
         .iter()
         .map(|(dead, entries)| {
-            let inner: Vec<String> = entries.iter().map(entry_json).collect();
-            format!(
-                "{{\"dead_channels\":{dead},\"entries\":[{}]}}",
-                inner.join(",")
-            )
+            Obj::new()
+                .field("dead_channels", *dead)
+                .field("entries", entries_json(entries))
+                .build()
         })
         .collect();
-    let injection_json = match injection {
-        None => String::from("null"),
-        Some((router, run, control)) => {
-            let s = &run.stats;
-            let c = &control.stats;
-            format!(
-                "{{\"router\":\"{router}\",\"pinned\":{},\"wedged\":{},\"injected\":{},\
-                 \"delivered\":{},\"abandoned\":{},\"leftover\":{},\"conservation_ok\":{},\
-                 \"control_wedged\":{},\"control_delivered\":{},\"control_leftover\":{}}}",
-                run.pinned_pairs,
-                run.wedged(),
-                s.injected_total,
-                s.delivered_total,
-                s.abandoned_total,
-                s.leftover_packets,
-                run.conservation_ok(),
-                control.wedged(),
-                c.delivered_total,
-                c.leftover_packets
-            )
-        }
-    };
-    format!(
-        "{{\"fabric\":{{\"n\":{},\"m\":{},\"r\":{}}},\"dead_channels\":{dead},\
-         \"entries\":[{}],\"churn_epochs\":[{}],\"injection\":{}}}",
-        ft.n(),
-        ft.m(),
-        ft.r(),
-        entries_json.join(","),
-        churn_json.join(","),
-        injection_json
-    )
+    let injection_json = injection.map(|(router, run, control)| {
+        Obj::new()
+            .field("router", *router)
+            .field("pinned", run.pinned_pairs)
+            .field("wedged", run.wedged())
+            .field("injected", run.stats.injected_total)
+            .field("delivered", run.stats.delivered_total)
+            .field("abandoned", run.stats.abandoned_total)
+            .field("leftover", run.stats.leftover_packets)
+            .field("conservation_ok", run.conservation_ok())
+            .field("control_wedged", control.wedged())
+            .field("control_delivered", control.stats.delivered_total)
+            .field("control_leftover", control.stats.leftover_packets)
+            .build()
+    });
+    Obj::new()
+        .field("fabric", fabric_json(ft))
+        .field("dead_channels", dead)
+        .field("entries", entries_json(entries))
+        .field("churn_epochs", churn_json)
+        .field("injection", injection_json)
+        .build()
+        .write()
 }
 
 #[cfg(test)]

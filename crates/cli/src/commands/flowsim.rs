@@ -11,6 +11,7 @@
 use super::common::{build_ftree, make_pattern};
 use crate::opts::{CliError, Opts};
 use ftclos_flowsim::{standard_suite, sweep_patterns_with, FluidReport};
+use ftclos_obs::json::{Json, Obj};
 use ftclos_obs::Registry;
 use ftclos_routing::{
     DModK, FaultAware, LinkLoadView, MaskedAdaptive, MaskedMultipath, NonblockingAdaptive,
@@ -156,38 +157,14 @@ fn solve<V: LinkLoadView + Sync + ?Sized>(
 }
 
 fn render_json(reports: &[(String, Result<FluidReport, String>)]) -> String {
-    let items: Vec<String> = reports
+    reports
         .iter()
         .map(|(name, res)| match res {
             Ok(r) => r.to_json(),
-            Err(e) => format!(
-                "{{\"pattern\":{},\"error\":{}}}",
-                json_string(name),
-                json_string(e)
-            ),
+            Err(e) => Obj::new().field("pattern", name).field("error", e).build(),
         })
-        .collect();
-    format!("[{}]", items.join(","))
-}
-
-/// Minimal JSON string escaping for the error branch (reports escape their
-/// own fields).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+        .collect::<Json>()
+        .write()
 }
 
 fn render_text(

@@ -8,6 +8,7 @@
 
 use super::common::{build_ftree, make_pattern, parse_rate, route_named};
 use crate::opts::{CliError, Opts};
+use ftclos_obs::json::{Json, Obj};
 use ftclos_obs::Registry;
 use ftclos_routing::{DModK, SModK, YuanDeterministic};
 use ftclos_sim::{
@@ -145,41 +146,35 @@ fn render_json(
     fail_at: u64,
     stats: &SimStats,
 ) -> String {
-    format!(
-        concat!(
-            "{{\"command\":\"simulate\",\"engine\":\"event\",",
-            "\"n\":{n},\"m\":{m},\"r\":{r},",
-            "\"router\":\"{router}\",\"pattern\":\"{pattern}\",\"rate\":{rate},",
-            "\"fail_uplinks\":{fail_uplinks},\"fail_at\":{fail_at},",
-            "\"injected_total\":{injected},\"delivered_total\":{delivered},",
-            "\"timed_out_total\":{timed_out},\"abandoned_total\":{abandoned},",
-            "\"leftover_packets\":{leftover},\"injection_refusals\":{refusals},",
-            "\"accepted_throughput\":{thr:.6},\"mean_latency\":{mlat:.3},",
-            "\"latency_p50\":{p50},\"latency_p95\":{p95},\"latency_p99\":{p99},",
-            "\"latency_max\":{lmax},\"conservation_ok\":{conservation}}}"
-        ),
-        n = ft.n(),
-        m = ft.m(),
-        r = ft.r(),
-        router = router,
-        pattern = pattern,
-        rate = rate,
-        fail_uplinks = fail_uplinks,
-        fail_at = fail_at,
-        injected = stats.injected_total,
-        delivered = stats.delivered_total,
-        timed_out = stats.timed_out_total,
-        abandoned = stats.abandoned_total,
-        leftover = stats.leftover_packets,
-        refusals = stats.injection_refusals,
-        thr = stats.accepted_throughput(),
-        mlat = stats.mean_latency(),
-        p50 = stats.latency_p50,
-        p95 = stats.latency_p95,
-        p99 = stats.latency_p99,
-        lmax = stats.latency_max,
-        conservation = stats.conservation_ok(),
-    )
+    Obj::new()
+        .field("command", "simulate")
+        .field("engine", "event")
+        .field("n", ft.n())
+        .field("m", ft.m())
+        .field("r", ft.r())
+        .field("router", router)
+        .field("pattern", pattern)
+        .field("rate", rate)
+        .field("fail_uplinks", fail_uplinks)
+        .field("fail_at", fail_at)
+        .field("injected_total", stats.injected_total)
+        .field("delivered_total", stats.delivered_total)
+        .field("timed_out_total", stats.timed_out_total)
+        .field("abandoned_total", stats.abandoned_total)
+        .field("leftover_packets", stats.leftover_packets)
+        .field("injection_refusals", stats.injection_refusals)
+        .field(
+            "accepted_throughput",
+            Json::Fixed(stats.accepted_throughput(), 6),
+        )
+        .field("mean_latency", Json::Fixed(stats.mean_latency(), 3))
+        .field("latency_p50", stats.latency_p50)
+        .field("latency_p95", stats.latency_p95)
+        .field("latency_p99", stats.latency_p99)
+        .field("latency_max", stats.latency_max)
+        .field("conservation_ok", stats.conservation_ok())
+        .build()
+        .write()
 }
 
 #[cfg(test)]

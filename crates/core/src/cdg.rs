@@ -686,6 +686,15 @@ where
 /// (optionally fault-masked — pairs with no live branch contribute
 /// nothing). Branches are emitted in sorted channel order so downstream
 /// attribution ([`attribute_witness`]) is deterministic.
+///
+/// This is also the CDG of the NONBLOCKINGADAPTIVE candidate route set.
+/// Every plan the adaptive router can materialize sends each cross pair
+/// through one of its live top switches, so the union of per-top branches
+/// is a superset of every materializable plan's route set — acyclicity of
+/// this union proves *all* plans deadlock-free at once. The candidate set
+/// coincides with the masked oblivious-multipath branch set (both
+/// enumerate one up*/down* path per live top); a specific materialized
+/// plan can be checked exactly with [`cdg_of_assignment`].
 pub fn cdg_of_multipath(ft: &Ftree, view: Option<&FaultyView>) -> ChannelDependencyGraph {
     cdg_of_multipath_with(ft, view, &Noop)
 }
@@ -718,27 +727,6 @@ pub fn cdg_of_multipath_with<Rec: Recorder>(
         },
         rec,
     )
-}
-
-/// CDG over the NONBLOCKINGADAPTIVE candidate route set. Every plan the
-/// adaptive router can materialize sends each cross pair through one of its
-/// live top switches, so the union of per-top branches is a superset of
-/// every materializable plan's route set — acyclicity of this union proves
-/// *all* plans deadlock-free at once. The candidate set coincides with the
-/// masked oblivious-multipath branch set (both enumerate one up*/down* path
-/// per live top); a specific materialized plan can be checked exactly with
-/// [`cdg_of_assignment`].
-pub fn cdg_of_adaptive(ft: &Ftree, view: Option<&FaultyView>) -> ChannelDependencyGraph {
-    cdg_of_adaptive_with(ft, view, &Noop)
-}
-
-/// [`cdg_of_adaptive`] with instrumentation.
-pub fn cdg_of_adaptive_with<Rec: Recorder>(
-    ft: &Ftree,
-    view: Option<&FaultyView>,
-    rec: &Rec,
-) -> ChannelDependencyGraph {
-    cdg_of_multipath_with(ft, view, rec)
 }
 
 /// CDG of one concrete route assignment (e.g. a materialized adaptive
@@ -936,13 +924,16 @@ pub fn deadlock_sweep_with<R: Recorder>(
     single("dmodk", &dmodk);
     let smodk = SModK::new(ft);
     single("smodk", &smodk);
+    // The NONBLOCKINGADAPTIVE candidate set is the multipath branch set
+    // (see [`cdg_of_multipath`]), so both rows share one build and check.
+    let multipath = cdg_of_multipath_with(ft, view, rec).check_with(rec);
     out.push(SweepEntry {
         router: "multipath",
-        analysis: cdg_of_multipath_with(ft, view, rec).check_with(rec),
+        analysis: multipath.clone(),
     });
     out.push(SweepEntry {
         router: "adaptive",
-        analysis: cdg_of_adaptive_with(ft, view, rec).check_with(rec),
+        analysis: multipath,
     });
     out
 }
@@ -1020,8 +1011,6 @@ mod tests {
         let ft = Ftree::new(2, 4, 3).unwrap();
         let mp = cdg_of_multipath(&ft, None).check();
         assert!(mp.is_free(), "{mp:?}");
-        let ad = cdg_of_adaptive(&ft, None).check();
-        assert_eq!(mp, ad, "candidate sets coincide");
         // Multipath uses every top, so it dominates any single-path CDG.
         let dm = cdg_of_router(ft.topology(), &DModK::new(&ft));
         assert!(mp.num_deps >= dm.num_deps());

@@ -4,6 +4,7 @@
 
 use crate::flows::FlowSet;
 use crate::waterfill::FluidAllocation;
+use ftclos_obs::json::{Json, Obj};
 use ftclos_sim::UtilizationHistogram;
 use serde::Serialize;
 use std::fmt;
@@ -72,32 +73,26 @@ impl FluidReport {
         }
     }
 
-    /// Render as a JSON object (hand-rolled: the vendored `serde` is a
-    /// marker shim with no serializer behind it).
-    pub fn to_json(&self) -> String {
-        format!(
-            concat!(
-                "{{\"router\":{},\"pattern\":{},\"hosts\":{},",
-                "\"num_flows\":{},\"num_link_entries\":{},",
-                "\"aggregate_throughput\":{},\"mean_rate\":{},",
-                "\"worst_rate\":{},\"all_unit_rate\":{},",
-                "\"max_demand_congestion\":{},\"max_link_load\":{},",
-                "\"rounds\":{},\"utilization\":{}}}"
-            ),
-            json_string(&self.router),
-            json_string(&self.pattern),
-            self.hosts,
-            self.num_flows,
-            self.num_link_entries,
-            json_f64(self.aggregate_throughput),
-            json_f64(self.mean_rate),
-            json_f64(self.worst_rate),
-            self.all_unit_rate,
-            json_f64(self.max_demand_congestion),
-            json_f64(self.max_link_load),
-            self.rounds,
-            json_histogram(&self.utilization),
-        )
+    /// The report as a JSON object, fields in declaration order.
+    pub fn to_json(&self) -> Json {
+        Obj::new()
+            .field("router", &self.router)
+            .field("pattern", &self.pattern)
+            .field("hosts", self.hosts)
+            .field("num_flows", self.num_flows)
+            .field("num_link_entries", self.num_link_entries)
+            .field("aggregate_throughput", self.aggregate_throughput)
+            .field("mean_rate", self.mean_rate)
+            .field("worst_rate", self.worst_rate)
+            .field("all_unit_rate", self.all_unit_rate)
+            .field("max_demand_congestion", self.max_demand_congestion)
+            .field("max_link_load", self.max_link_load)
+            .field("rounds", self.rounds)
+            .field(
+                "utilization",
+                self.utilization.buckets.iter().copied().collect::<Json>(),
+            )
+            .build()
     }
 }
 
@@ -133,52 +128,6 @@ impl fmt::Display for FluidReport {
     }
 }
 
-/// Escape a string as a JSON string literal.
-pub(crate) fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-/// Format a float as a JSON number (non-finite values become `null`).
-pub(crate) fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        // Rust's shortest-roundtrip Display never emits NaN/inf here and
-        // never uses exponent notation, both of which JSON rejects.
-        let s = format!("{v}");
-        if s.contains('.') || s.contains('e') {
-            s
-        } else {
-            format!("{s}.0")
-        }
-    } else {
-        "null".to_string()
-    }
-}
-
-/// Render a utilization histogram as a JSON array of bucket counts.
-pub(crate) fn json_histogram(h: &UtilizationHistogram) -> String {
-    let inner = h
-        .buckets
-        .iter()
-        .map(|b| b.to_string())
-        .collect::<Vec<_>>()
-        .join(",");
-    format!("[{inner}]")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -199,7 +148,7 @@ mod tests {
     #[test]
     fn json_is_well_formed_and_complete() {
         let r = sample_report();
-        let json = r.to_json();
+        let json = r.to_json().write();
         assert!(json.starts_with('{') && json.ends_with('}'));
         for key in [
             "\"router\":\"d-mod-k\"",
@@ -215,27 +164,7 @@ mod tests {
         ] {
             assert!(json.contains(key), "missing {key} in {json}");
         }
-        // Balanced braces/brackets — cheap well-formedness proxy without a
-        // JSON parser in the tree.
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "{json}"
-        );
-        assert_eq!(
-            json.matches('[').count(),
-            json.matches(']').count(),
-            "{json}"
-        );
-    }
-
-    #[test]
-    fn json_escaping_and_floats() {
-        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_f64(0.5), "0.5");
-        assert_eq!(json_f64(1.0), "1.0");
-        assert_eq!(json_f64(f64::NAN), "null");
-        assert_eq!(json_f64(f64::INFINITY), "null");
+        assert_eq!(Json::parse(&json), Ok(r.to_json()), "{json}");
     }
 
     #[test]

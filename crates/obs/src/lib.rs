@@ -2,8 +2,8 @@
 //!
 //! A lightweight, zero-dependency instrumentation layer: hierarchical span
 //! timers, atomic counters / gauges / log-bucketed histograms, and an
-//! epoch-snapshot registry that serializes to the same hand-rolled JSON
-//! style the flowsim reports use. Every hot path in the workspace —
+//! epoch-snapshot registry that serializes through the workspace's one JSON
+//! codec, [`json`]. Every hot path in the workspace —
 //! `core::engine`, `flowsim::waterfill`, `sim::engine`, `routing::arena` —
 //! threads a [`Recorder`] through its work; the default [`Noop`] recorder
 //! monomorphizes to nothing, so un-traced runs pay zero cost (the E20/E21
@@ -25,11 +25,12 @@
 //!   [`Snapshot::to_folded`] emits flamegraph-ready folded stacks
 //!   (`root;child self_ns`).
 //!
-//! ## Reading traces back
+//! ## Writing and reading JSON
 //!
-//! [`json`] is a minimal parser for the JSON this workspace emits (there is
-//! no serde_json in-tree); `ftclos stats` and the snapshot tests use it to
-//! summarize and normalize traces.
+//! [`json`] writes every JSON document the workspace emits (traces, CLI
+//! `--json` reports, bench records) and parses them back; `ftclos stats`
+//! and the snapshot tests use the parser to summarize and normalize
+//! traces.
 //!
 //! ```
 //! use ftclos_obs::{Recorder, Registry};

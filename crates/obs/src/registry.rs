@@ -11,6 +11,7 @@
 //! order (spans, epochs), both of which are deterministic for seeded runs —
 //! the property the golden-file snapshot tests pin.
 
+use crate::json::{Json, Obj};
 use crate::recorder::{Recorder, SpanGuard};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -466,34 +467,6 @@ pub struct Snapshot {
     pub epochs: Vec<EpochSnapshot>,
 }
 
-/// Escape a string as a JSON string literal (same dialect as the flowsim
-/// reports).
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
-fn json_u64_map(pairs: &[(String, u64)]) -> String {
-    let inner: Vec<String> = pairs
-        .iter()
-        .map(|(n, v)| format!("{}:{v}", json_string(n)))
-        .collect();
-    format!("{{{}}}", inner.join(","))
-}
-
 impl Snapshot {
     /// Value of a counter (None when never registered).
     pub fn counter(&self, name: &str) -> Option<u64> {
@@ -523,81 +496,69 @@ impl Snapshot {
     /// metric names, spans in tree preorder. `command` and `args` land in
     /// the `meta` object.
     pub fn to_json(&self, command: &str, args: &str) -> String {
-        let mut out = String::with_capacity(1024);
-        out.push_str("{\n");
-        out.push_str("  \"trace_version\": 1,\n");
-        out.push_str(&format!(
-            "  \"meta\": {{\"command\":{},\"args\":{}}},\n",
-            json_string(command),
-            json_string(args)
-        ));
-        out.push_str(&format!("  \"wall_ns\": {},\n", self.wall_ns));
-        let spans: Vec<String> = self
+        let u64_map = |pairs: &[(String, u64)]| {
+            pairs
+                .iter()
+                .fold(Obj::new(), |o, (name, v)| o.field(name, *v))
+                .build()
+        };
+        let spans: Json = self
             .spans
             .iter()
             .map(|s| {
-                format!(
-                    "    {{\"path\":{},\"count\":{},\"total_ns\":{},\"self_ns\":{}}}",
-                    json_string(&s.path),
-                    s.count,
-                    s.total_ns,
-                    s.self_ns
-                )
+                Obj::new()
+                    .field("path", &s.path)
+                    .field("count", s.count)
+                    .field("total_ns", s.total_ns)
+                    .field("self_ns", s.self_ns)
+                    .build()
             })
             .collect();
-        out.push_str(&format!("  \"spans\": [\n{}\n  ],\n", spans.join(",\n")));
-        out.push_str(&format!(
-            "  \"counters\": {},\n",
-            json_u64_map(&self.counters)
-        ));
-        out.push_str(&format!("  \"gauges\": {},\n", json_u64_map(&self.gauges)));
-        let hists: Vec<String> = self
-            .histograms
-            .iter()
-            .map(|(n, h)| {
-                let buckets: Vec<String> = h
-                    .buckets
-                    .iter()
-                    .map(|(lo, c)| format!("[{lo},{c}]"))
-                    .collect();
-                format!(
-                    "    {}:{{\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"buckets\":[{}]}}",
-                    json_string(n),
-                    h.count,
-                    h.sum,
-                    h.min,
-                    h.max,
-                    buckets.join(",")
-                )
-            })
-            .collect();
-        if hists.is_empty() {
-            out.push_str("  \"histograms\": {},\n");
-        } else {
-            out.push_str(&format!(
-                "  \"histograms\": {{\n{}\n  }},\n",
-                hists.join(",\n")
-            ));
-        }
-        let epochs: Vec<String> = self
+        let histograms = self.histograms.iter().fold(Obj::new(), |o, (name, h)| {
+            let buckets: Json = h
+                .buckets
+                .iter()
+                .map(|&(lo, c)| Json::from_iter([lo, c]))
+                .collect();
+            o.field(
+                name,
+                Obj::new()
+                    .field("count", h.count)
+                    .field("sum", h.sum)
+                    .field("min", h.min)
+                    .field("max", h.max)
+                    .field("buckets", buckets)
+                    .build(),
+            )
+        });
+        let epochs: Json = self
             .epochs
             .iter()
             .map(|e| {
-                format!(
-                    "    {{\"label\":{},\"counters\":{},\"gauges\":{}}}",
-                    json_string(&e.label),
-                    json_u64_map(&e.counters),
-                    json_u64_map(&e.gauges)
-                )
+                Obj::new()
+                    .field("label", &e.label)
+                    .field("counters", u64_map(&e.counters))
+                    .field("gauges", u64_map(&e.gauges))
+                    .build()
             })
             .collect();
-        if epochs.is_empty() {
-            out.push_str("  \"epochs\": []\n");
-        } else {
-            out.push_str(&format!("  \"epochs\": [\n{}\n  ]\n", epochs.join(",\n")));
-        }
-        out.push_str("}\n");
-        out
+        Obj::new()
+            .field("trace_version", 1)
+            .field(
+                "meta",
+                Obj::new()
+                    .field("command", command)
+                    .field("args", args)
+                    .build(),
+            )
+            .field("wall_ns", self.wall_ns)
+            .field("spans", spans)
+            .field("counters", u64_map(&self.counters))
+            .field("gauges", u64_map(&self.gauges))
+            .field("histograms", histograms.build())
+            .field("epochs", epochs)
+            .build()
+            .write_pretty()
     }
 
     /// Folded-stack lines (`root;child self_ns`), flamegraph-ready: feed to
@@ -703,7 +664,10 @@ mod tests {
         reg.mark_epoch("end");
         let json = reg.snapshot().to_json("test", "--x 1");
         assert!(json.contains("\"trace_version\": 1"));
-        assert!(json.contains("\"command\":\"test\""));
+        let doc = Json::parse(&json).expect("trace parses");
+        let meta = doc.get("meta").expect("meta object");
+        assert_eq!(meta.get("command").and_then(Json::as_str), Some("test"));
+        assert_eq!(meta.get("args").and_then(Json::as_str), Some("--x 1"));
         assert!(json.contains("\"root;child\""));
         // BTreeMap ordering: a_counter before b_counter.
         let a = json.find("a_counter").unwrap();
@@ -712,6 +676,68 @@ mod tests {
         assert!(json.contains("\"epochs\": ["));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
         assert_eq!(json.matches('[').count(), json.matches(']').count());
+    }
+
+    /// The trace layout, pinned on fixed values: each top-level entry and
+    /// each entry of a container directly under it on its own line.
+    #[test]
+    fn trace_layout_is_pinned() {
+        let pairs = |v: &[(&str, u64)]| -> Vec<(String, u64)> {
+            v.iter().map(|&(n, x)| (n.to_string(), x)).collect()
+        };
+        let snap = Snapshot {
+            wall_ns: 900,
+            counters: pairs(&[("a", 1), ("b", 2)]),
+            gauges: Vec::new(),
+            histograms: vec![(
+                "h".to_string(),
+                HistogramSnapshot {
+                    count: 2,
+                    sum: 5,
+                    min: 1,
+                    max: 4,
+                    buckets: vec![(1, 1), (4, 1)],
+                },
+            )],
+            spans: vec![SpanSnapshot {
+                path: "root".to_string(),
+                name: "root".to_string(),
+                count: 1,
+                total_ns: 800,
+                self_ns: 800,
+            }],
+            epochs: vec![EpochSnapshot {
+                label: "end".to_string(),
+                counters: pairs(&[("a", 1)]),
+                gauges: Vec::new(),
+            }],
+        };
+        assert_eq!(
+            snap.to_json("demo", "a \"b\""),
+            r#"{
+  "trace_version": 1,
+  "meta": {
+    "command": "demo",
+    "args": "a \"b\""
+  },
+  "wall_ns": 900,
+  "spans": [
+    {"path":"root","count":1,"total_ns":800,"self_ns":800}
+  ],
+  "counters": {
+    "a": 1,
+    "b": 2
+  },
+  "gauges": {},
+  "histograms": {
+    "h": {"count":2,"sum":5,"min":1,"max":4,"buckets":[[1,1],[4,1]]}
+  },
+  "epochs": [
+    {"label":"end","counters":{"a":1},"gauges":{}}
+  ]
+}
+"#
+        );
     }
 
     #[test]
